@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__, embedding, hosts, markov, metric, walk
 from .errors import (
+    EstimationError,
     InvariantViolation,
     ResourceLimitError,
     ValidationError,
@@ -97,7 +98,11 @@ def _float_cell(x: float) -> str:
 
 
 class _OutputSink:
-    """Collects named text artifacts, then writes them plus the manifest."""
+    """Collects named text artifacts, then writes them plus the manifest.
+
+    Each command builds its sink before doing any work, so the manifest's
+    wallClockSeconds covers the whole command, not just the file writes.
+    """
 
     def __init__(self, out_dir: str, command: str, config: dict, seed):
         self.out_dir = out_dir
@@ -160,13 +165,6 @@ def _compression_csv(report: embedding.CompressionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _observation_csv(alpha: float, observations) -> str:
-    lines = ["alpha,distance,norm,errorBound"]
-    for d, value, bound in observations:
-        lines.append(f"{_float_cell(alpha)},{d},{_float_cell(value)},{_float_cell(bound)}")
-    return "\n".join(lines) + "\n"
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -202,6 +200,13 @@ def _default_times(tmax: int) -> tuple[int, ...]:
     return times if times else (tmax,)
 
 
+def _mean_fit_or_none(sample: walk.WalkSample) -> Optional[float]:
+    try:
+        return walk.estimate_beta(sample).beta_hat
+    except EstimationError:  # fewer than 4 times with a positive mean
+        return None
+
+
 def _cmd_walk(ns, config) -> int:
     group = ns.group
     seed = _resolve(ns, config, "seed", int)
@@ -212,6 +217,8 @@ def _cmd_walk(ns, config) -> int:
         times = tuple(int(tok) for tok in ns.times.split(","))
     else:
         times = _default_times(tmax)
+    snapshot = {"group": group, "trials": trials, "tmax": tmax, "times": list(times)}
+    sink = _OutputSink(out_dir, "walk", snapshot, seed)
     sample = walk.simulate(group, times, trials, seed)
     fit = walk.estimate_beta(sample)
     fit_median = walk.estimate_beta(sample, statistic="median")
@@ -235,8 +242,11 @@ def _cmd_walk(ns, config) -> int:
         "deltaHat": {str(t): tail.delta_hat[t] for t in sample.times},
         "deltaStderr": {str(t): tail.standard_errors[t] for t in sample.times},
     }
-    snapshot = {"group": group, "trials": trials, "tmax": tmax, "times": list(times)}
-    sink = _OutputSink(out_dir, "walk", snapshot, seed)
+    if sample.lamp_mass is not None:
+        for key, part in zip(("lampMass", "travel"), sample.split()):
+            means = part.mean_displacement()
+            summary[f"{key}Mean"] = {str(t): float(m) for t, m in zip(sample.times, means)}
+            summary[f"{key}BetaHat"] = _mean_fit_or_none(part)
     sink.add("walk_samples.csv", _walk_csv(sample))
     sink.add("walk_tail.csv", _tail_csv(tail))
     sink.add("walk_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -406,6 +416,8 @@ def _cmd_embed_scan(ns, config) -> int:
     seed = _resolve(ns, config, "seed", int)
     count = _resolve(ns, config, "count", int)
     out_dir = _resolve(ns, config, "out", str)
+    snapshot = {"alpha": alpha, "eps": eps, "count": count, "sampler": ns.sampler}
+    sink = _OutputSink(out_dir, "embed scan", snapshot, seed)
     sampler = _sampler_from_spec(ns.sampler, alpha)
     report = embedding.compression_scan(alpha, sampler, count, eps, seed)
     summary = {
@@ -416,8 +428,6 @@ def _cmd_embed_scan(ns, config) -> int:
         "lipschitzMax": report.lipschitz_max,
         "lowerShapeExponent": embedding.lower_shape_exponent(alpha),
     }
-    snapshot = {"alpha": alpha, "eps": eps, "count": count, "sampler": ns.sampler}
-    sink = _OutputSink(out_dir, "embed scan", snapshot, seed)
     sink.add("compression_observations.csv", _compression_csv(report))
     sink.add("compression_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     sink.flush()
@@ -454,6 +464,8 @@ def _cmd_pipeline(ns, config) -> int:
     trials = _resolve(ns, config, "trials", int)
     tmax = _resolve(ns, config, "tmax", int)
     out_dir = _resolve(ns, config, "out", str)
+    snapshot = {"alpha": alpha, "eps": eps, "trials": trials, "tmax": tmax}
+    sink = _OutputSink(out_dir, "pipeline", snapshot, seed)
 
     times = _default_times(tmax)
     sample = walk.simulate("zwrz", times, trials, seed)
@@ -517,8 +529,6 @@ def _cmd_pipeline(ns, config) -> int:
         min(v / d ** embedding.lower_shape_exponent(alpha) for d, v, _ in observations),
         max(v / d for d, v, _ in observations),
     )
-    snapshot = {"alpha": alpha, "eps": eps, "trials": trials, "tmax": tmax}
-    sink = _OutputSink(out_dir, "pipeline", snapshot, seed)
     sink.add("walk_samples.csv", _walk_csv(sample))
     sink.add("walk_tail.csv", _tail_csv(tail))
     sink.add("compression_observations.csv", _compression_csv(scan_report))

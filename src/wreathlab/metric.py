@@ -138,11 +138,6 @@ class BallTable:
     def distance_of(self, g: GroupElement) -> int:
         return self.distances[g]
 
-    def by_encoding(self) -> dict[bytes, int]:
-        from .group import encode
-
-        return {encode(g): d for g, d in self.distances.items()}
-
     def layer_sizes(self) -> list[int]:
         sizes = [0] * (self.radius + 1)
         for d in self.distances.values():

@@ -2,10 +2,11 @@
 
 Each trial draws its own counter-based stream (Philox keyed by seed and trial
 index), so results are independent of evaluation order and reproducible
-bit-for-bit. The line walk is vectorized; the wreath walk runs a tight loop
-over a mutable lamp table and evaluates the exact word metric at the requested
-times only, keeping its lamp mass so each displacement splits exactly into
-lamp mass plus cursor travel.
+bit-for-bit. Both walks are vectorized per trial. The wreath walk takes the
+cursor as a cumulative sum of the step codes and adds the lamp steps between
+consecutive requested times into one lamp table; at each requested time it
+evaluates the exact word metric, keeping the lamp mass so each displacement
+splits exactly into lamp mass plus cursor travel.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import EstimationError, ValidationError
+from .metric import _travel_parts
 
 __all__ = [
     "WalkSample",
@@ -58,6 +60,16 @@ class WalkSample:
     def median_displacement(self) -> np.ndarray:
         return np.median(self.displacements, axis=0)
 
+    def split(self) -> tuple[WalkSample, WalkSample]:
+        """The lamp-mass and cursor-travel parts, each as a sample of its own."""
+        if self.lamp_mass is None:
+            raise ValidationError(f"the {self.group!r} walk has no lamp/travel split")
+        travel = self.displacements - self.lamp_mass
+        return (
+            WalkSample(self.group, self.times, self.lamp_mass, self.seed),
+            WalkSample(self.group, self.times, travel, self.seed),
+        )
+
 
 class BetaFit(NamedTuple):
     beta_hat: float
@@ -96,66 +108,34 @@ def _line_trial(seed: int, trial: int, times: Sequence[int]) -> np.ndarray:
     return np.array([abs(int(position[t - 1])) if t else 0 for t in times], dtype=np.int64)
 
 
-def _wreath_split(lamps: dict[int, int], cursor: int) -> tuple[int, int]:
-    """(lamp mass, cursor travel) of d((lamps, cursor), identity)."""
-    if lamps:
-        lo = min(lamps)
-        hi = max(lamps)
-        left = min(lo, 0, cursor)
-        right = max(hi, 0, cursor)
-    else:
-        left = min(0, cursor)
-        right = max(0, cursor)
-    travel = min(
-        (0 - left) + (right - left) + (right - cursor),
-        (right - 0) + (right - left) + (cursor - left),
-    )
-    return sum(abs(v) for v in lamps.values()), travel
-
-
 def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements and their lamp masses at the given times."""
-    t_max = times[-1]
-    rng = _trial_rng(seed, trial)
-    codes = rng.integers(0, 4, size=t_max).tolist()
-    lamps: dict[int, int] = {}
-    cursor = 0
+    """Displacements and their lamp masses at the given times.
+
+    cursor[s] is the cursor after s steps, and lamp step s + 1 (code 0 adds
+    one, code 1 takes one away) acts at cursor[s]. The lamp table is indexed
+    by cursor position minus the cursor minimum; between two sampled times it
+    takes a bincount of the lamp steps in that interval.
+    """
+    codes = _trial_rng(seed, trial).integers(0, 4, size=times[-1])
+    cursor = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum((codes == 2).astype(np.int64) - (codes == 3), out=cursor[1:])
+    lo = int(cursor.min())
+    lamps = np.zeros(int(cursor.max()) - lo + 1, dtype=np.int64)
+    up, down = (np.flatnonzero(codes == code) for code in (0, 1))
+    up_at, down_at = cursor[up] - lo, cursor[down] - lo
+    up_end, down_end = np.searchsorted(up, times), np.searchsorted(down, times)
     out = np.zeros(len(times), dtype=np.int64)
     mass = np.zeros(len(times), dtype=np.int64)
-    next_index = 0
-    if times[0] == 0:
-        next_index = 1  # d(W_0, e) = 0 already in place
-    if next_index == len(times):
-        return out, mass
-    target = times[next_index]
-    get = lamps.get
-    step = 0
-    for code in codes:
-        step += 1
-        if code == 0:
-            v = get(cursor, 0) + 1
-            if v:
-                lamps[cursor] = v
-            else:
-                del lamps[cursor]
-        elif code == 1:
-            v = get(cursor, 0) - 1
-            if v:
-                lamps[cursor] = v
-            else:
-                del lamps[cursor]
-        elif code == 2:
-            cursor += 1
-        else:
-            cursor -= 1
-        if step == target:
-            lamp_mass, travel = _wreath_split(lamps, cursor)
-            out[next_index] = lamp_mass + travel
-            mass[next_index] = lamp_mass
-            next_index += 1
-            if next_index == len(times):
-                break
-            target = times[next_index]
+    u = d = 0
+    for column, t in enumerate(times):
+        lamps += np.bincount(up_at[u : up_end[column]], minlength=len(lamps))
+        lamps -= np.bincount(down_at[d : down_end[column]], minlength=len(lamps))
+        u, d = up_end[column], down_end[column]
+        support = np.flatnonzero(lamps)
+        ends = (int(support[0]) + lo, int(support[-1]) + lo) if len(support) else ()
+        _, _, left_first, right_first = _travel_parts(ends, int(cursor[t]))
+        mass[column] = np.abs(lamps).sum()
+        out[column] = mass[column] + min(left_first, right_first)
     return out, mass
 
 
@@ -177,11 +157,7 @@ def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSa
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     lamp_mass = None
-    if times == (0,):
-        rows = np.zeros((trials, 1), dtype=np.int64)
-        if group == "zwrz":
-            lamp_mass = np.zeros_like(rows)
-    elif group == "z":
+    if group == "z":
         rows = np.stack([_line_trial(seed, i, times) for i in range(trials)])
     else:
         split = [_wreath_trial(seed, i, times) for i in range(trials)]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -107,6 +108,46 @@ class TestWalkCommand:
         for name in ("walk_samples.csv", "walk_tail.csv", "walk_summary.json"):
             bodies = [open(os.path.join(d, name), "rb").read() for d in dirs]
             assert bodies[0] == bodies[1]
+
+    def test_wreath_summary_reports_the_split(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "walk", "--group", "zwrz", "--trials", "30", "--tmax", "512",
+            "--seed", "2", "--out", str(tmp_path / "w"),
+        )
+        assert code == 0
+        payload = read_json(out)
+        times = {str(t) for t in payload["times"]}
+        for key in ("lampMassMean", "travelMean"):
+            assert set(payload[key]) == times
+        assert 0.5 <= payload["lampMassBetaHat"] <= 1.0
+        assert 0.2 <= payload["travelBetaHat"] <= 0.8
+
+    def test_split_fit_too_short_is_null(self, capsys, tmp_path):
+        # travel is 0 at t = 1 and 2 here, leaving 3 positive means: too few to fit
+        code, out, _ = run_cli(
+            capsys, "walk", "--group", "zwrz", "--trials", "1", "--times", "1,2,3,4,5",
+            "--seed", "0", "--out", str(tmp_path / "w"),
+        )
+        assert code == 0
+        payload = read_json(out)
+        assert payload["travelBetaHat"] is None
+        assert payload["travelMean"]["1"] == 0.0
+
+    def test_manifest_clock_covers_the_command(self, capsys, tmp_path, monkeypatch):
+        simulate = cli.walk.simulate
+
+        def slow_simulate(*args):
+            time.sleep(0.2)
+            return simulate(*args)
+
+        monkeypatch.setattr(cli.walk, "simulate", slow_simulate)
+        out_dir = str(tmp_path / "w")
+        code, _, _ = run_cli(
+            capsys, "walk", "--group", "z", "--trials", "5", "--tmax", "256", "--out", out_dir,
+        )
+        assert code == 0
+        manifest = json.load(open(os.path.join(out_dir, "run_manifest.json")))
+        assert manifest["wallClockSeconds"] >= 0.2
 
     def test_summary_contents(self, capsys, tmp_path):
         code, out, _ = run_cli(

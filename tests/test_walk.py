@@ -1,5 +1,6 @@
 """Random-walk sampling and the displacement-exponent estimators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -46,13 +47,17 @@ class TestSimulate:
 
     def test_wreath_split_matches_metric_witness(self):
         # replay each trial's step codes through the group law and compare the
-        # recorded lamp/travel split with the closed-form metric witness
-        times = (1, 4, 16, 64)
+        # recorded lamp/travel split with the closed-form metric witness; the
+        # irregular grid starts at time 0 (no lamps, cursor at 0)
+        times = (0, 1, 2, 3, 5, 8, 13, 64)
         seed = 11
         sample = walk.simulate("zwrz", times, 8, seed)
         assert sample.lamp_mass.shape == sample.displacements.shape
         assert sample.lamp_mass.dtype == sample.displacements.dtype
+        assert not sample.displacements[:, 0].any()
+        assert not sample.lamp_mass[:, 0].any()
         generators = canonical_generators()
+        sampled_cursors = []
         for trial in range(sample.trials):
             codes = walk._trial_rng(seed, trial).integers(0, 4, size=times[-1]).tolist()
             g = IDENTITY
@@ -64,6 +69,29 @@ class TestSimulate:
                     lamp = int(sample.lamp_mass[trial, column])
                     assert lamp == witness.lamp_cost
                     assert int(sample.displacements[trial, column]) - lamp == witness.travel_cost
+                    sampled_cursors.append(g.cursor)
+        assert min(sampled_cursors) < 0  # the lamp table offset is exercised
+
+    def test_wreath_golden_sample(self, zwrz_sample):
+        # sha256 of the seed-7 sample (2000 trials, 2^4..2^14) as the step-loop
+        # kernel produced it; any change to the draws or the split shows here
+        assert (
+            hashlib.sha256(zwrz_sample.displacements.tobytes()).hexdigest()
+            == "1d6415e9c535b67eb670e05b5a451042a2b2f227bbe03ebc499a4e62571d5908"
+        )
+        assert (
+            hashlib.sha256(zwrz_sample.lamp_mass.tobytes()).hexdigest()
+            == "552539801e029f881af391468b936358947135f569f522361fdf3c90b7b0fbcc"
+        )
+
+    def test_split_into_lamp_mass_and_travel(self):
+        sample = walk.simulate("zwrz", (4, 16, 64), 20, 2)
+        lamp, travel = sample.split()
+        assert np.array_equal(lamp.displacements, sample.lamp_mass)
+        assert np.array_equal(lamp.displacements + travel.displacements, sample.displacements)
+        assert (travel.displacements >= 0).all()
+        with pytest.raises(ValidationError):
+            walk.simulate("z", (4, 16), 5, 1).split()
 
     def test_lamp_mass_only_for_the_wreath_walk(self):
         assert walk.simulate("z", (4, 16), 5, 1).lamp_mass is None
