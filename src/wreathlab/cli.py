@@ -214,7 +214,10 @@ def _cmd_walk(ns, config) -> int:
     tmax = _resolve(ns, config, "tmax", int)
     out_dir = _resolve(ns, config, "out", str)
     if ns.times:
-        times = tuple(int(tok) for tok in ns.times.split(","))
+        try:
+            times = tuple(int(tok) for tok in ns.times.split(","))
+        except ValueError:
+            raise ValidationError(f"--times {ns.times!r} must be comma-separated integers") from None
     else:
         times = _default_times(tmax)
     snapshot = {"group": group, "trials": trials, "tmax": tmax, "times": list(times)}
@@ -344,6 +347,7 @@ def _cmd_markov_replay(ns, config) -> int:
         "markovLhs": report.markov_lhs,
         "markovRhs": report.markov_rhs,
         "upper": report.upper,
+        "slack": dict(report.slack),
         "pass": True,
     }
     _print_json(payload)

@@ -110,6 +110,11 @@ def wreath_truncation(max_cursor: int, max_support: int, max_value: int) -> list
     in [-max_support, max_support], and values in [-max_value, max_value]."""
     if min(max_cursor, max_support, max_value) < 0:
         raise ValidationError("truncation bounds must be nonnegative")
+    count = (2 * max_value + 1) ** (2 * max_support + 1) * (2 * max_cursor + 1)
+    if count > metric.DEFAULT_BALL_CAP:
+        raise ResourceLimitError(
+            f"truncation has {count} elements, over the cap {metric.DEFAULT_BALL_CAP}"
+        )
     positions = range(-max_support, max_support + 1)
     values = range(-max_value, max_value + 1)
     configs: list[tuple[tuple[int, int], ...]] = [()]

@@ -11,7 +11,14 @@ Three jobs live here:
   walk indistinguishable from the free walk for t steps when started in the
   core set;
 * a replay of the resulting sandwich on concrete finite instances: the
-  compression lower term never exceeds the Markov-type upper term.
+  compression lower term never exceeds the Markov-type upper term. The
+  replay takes a^t as a dense matrix power (exact in any summation order:
+  every entry of a is a multiple of 1/degree, and the hosts have degree 2
+  or 4) and then works only on the pairs the chain can couple: one host
+  distance per unordered pair, vectorized checks, and fsum over the terms
+  on those pairs, each formed as in the dense n x n sum, so dropping the
+  zero terms changes no bit. delayed_walk refuses a chain whose dense
+  matrices would not fit in physical memory.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -20,6 +27,7 @@ bound on the compression exponent, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ResourceLimitError, ValidationError
 
 __all__ = [
     "FiniteChain",
@@ -218,6 +226,22 @@ class SubsetWalkSpec:
         return self.host.degree
 
 
+# n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
+# of the matrix power and the validation
+_DENSE_ARRAYS = 4
+
+
+def _check_dense_memory(n: int) -> None:
+    """Refuse a chain whose dense matrices would not fit in physical memory."""
+    needed = _DENSE_ARRAYS * 8 * n * n
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise ResourceLimitError(
+            f"{n} states need about {needed / 2**30:.1f} GiB of dense n x n arrays, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def delayed_walk(spec: SubsetWalkSpec) -> FiniteChain:
     """The delayed standard walk restricted to the subset.
 
@@ -226,8 +250,9 @@ def delayed_walk(spec: SubsetWalkSpec) -> FiniteChain:
     reversible because in-subset adjacency is symmetric.
     """
     subset = spec.subset
-    index = {v: i for i, v in enumerate(subset)}
     n = len(subset)
+    _check_dense_memory(n)
+    index = {v: i for i, v in enumerate(subset)}
     deg = spec.degree
     a = np.zeros((n, n))
     for i, v in enumerate(subset):
@@ -295,7 +320,8 @@ class ReplayReport:
 
     The chain that is checked (tolerances aside):
         chain_lower == restricted_avg <= full_avg <= markov_lhs <= upper
-    with markov_lhs <= markov_rhs additionally asserted when p = 2.
+    with markov_lhs <= markov_rhs additionally asserted when p = 2. slack
+    holds (link, hi - lo) for every checked link, in the order checked.
     """
 
     core_size: int
@@ -311,6 +337,7 @@ class ReplayReport:
     markov_lhs: float
     markov_rhs: float
     upper: float
+    slack: tuple[tuple[str, float], ...]
 
 
 def delayed_walk_replay(
@@ -351,60 +378,70 @@ def delayed_walk_replay(
         raise ValidationError("embedding produced nonfinite coordinates")
 
     at = np.linalg.matrix_power(chain.a, t) if t else np.eye(n)
-    coupled = (chain.a > 0) | (at > 0)
+    # every pair the chain can couple, row-major; the support is symmetric
+    pairs_i, pairs_j = np.nonzero((chain.a > 0) | (at > 0))
 
-    # host distances and embedding distances only where the chain can couple
-    emb_dist = np.zeros((n, n))
-    host_dist = np.zeros((n, n), dtype=int)
-    lipschitz_max = 0.0
-    for i in range(n):
-        js = np.nonzero(coupled[i])[0]
-        for j in js:
-            if j < i and coupled[j, i]:
-                continue  # symmetric pair already done
-            d = host.distance(vertices[i], vertices[j])
-            e = float(np.linalg.norm(points[i] - points[j]))
-            host_dist[i, j] = host_dist[j, i] = d
-            emb_dist[i, j] = emb_dist[j, i] = e
-            if d == 1:
-                lipschitz_max = max(lipschitz_max, e)
-                if e > 1.0 + tol:
-                    raise ValidationError(
-                        f"embedding is not 1-Lipschitz: pair ({vertices[i]}, {vertices[j]}) "
-                        f"stretches to {e}"
-                    )
+    # one host distance and one embedding gap per unordered pair i <= j
+    upper_half = pairs_i <= pairs_j
+    ui, uj = pairs_i[upper_half], pairs_j[upper_half]
+    host_dist = np.array(
+        [host.distance(vertices[i], vertices[j]) for i, j in zip(ui.tolist(), uj.tolist())],
+        dtype=np.int64,
+    )
+    diff = points[ui] - points[uj]
+    emb_dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
 
-    pairs_i, pairs_j = np.nonzero(coupled)
-    attained = sorted(set(host_dist[pairs_i, pairs_j].tolist()))
-    if rho is None:
-        rho = _empirical_modulus(
-            host_dist[pairs_i, pairs_j].astype(float), emb_dist[pairs_i, pairs_j]
+    edges = host_dist == 1
+    lipschitz_max = float(np.max(emb_dist[edges], initial=0.0))
+    stretched = np.flatnonzero(edges & (emb_dist > 1.0 + tol))
+    if stretched.size:
+        k = stretched[0]
+        raise ValidationError(
+            f"embedding is not 1-Lipschitz: pair ({vertices[ui[k]]}, {vertices[uj[k]]}) "
+            f"stretches to {float(emb_dist[k])}"
         )
-    rho_at = {}
+
+    attained = np.unique(host_dist)
+    if rho is None:
+        rho = _empirical_modulus(host_dist.astype(float), emb_dist)
+    rho_at = []
     previous = None
-    for d in attained:
+    for d in attained.tolist():
         value = float(rho(float(d)))
         if value < -tol:
             raise ValidationError(f"rho({d}) = {value} is negative")
         if previous is not None and value < previous - tol:
             raise ValidationError(f"rho is not nondecreasing at argument {d}")
         previous = value
-        rho_at[d] = value
-    for i, j in zip(pairs_i.tolist(), pairs_j.tolist()):
-        if rho_at[host_dist[i, j]] > emb_dist[i, j] + tol:
-            raise ValidationError(
-                f"rho exceeds the embedding gap on pair ({vertices[i]}, {vertices[j]}): "
-                f"rho({host_dist[i, j]}) = {rho_at[host_dist[i, j]]} > {emb_dist[i, j]}"
-            )
+        rho_at.append(value)
+    # a violation is symmetric, and (i, j) with i <= j precedes (j, i) in
+    # row-major order, so the first unordered offender is the first ordered one
+    level = np.searchsorted(attained, host_dist)
+    rho_pair = np.asarray(rho_at)[level]
+    exceeded = np.flatnonzero(rho_pair > emb_dist + tol)
+    if exceeded.size:
+        k = exceeded[0]
+        raise ValidationError(
+            f"rho exceeds the embedding gap on pair ({vertices[ui[k]]}, {vertices[uj[k]]}): "
+            f"rho({int(host_dist[k])}) = {rho_at[level[k]]} > {float(emb_dist[k])}"
+        )
 
-    rho_p = np.zeros((n, n))
-    for i, j in zip(pairs_i.tolist(), pairs_j.tolist()):
-        rho_p[i, j] = rho_at[host_dist[i, j]] ** p
+    # spread the unordered values to both orders of every coupled pair
+    unordered = np.searchsorted(
+        ui * n + uj, np.minimum(pairs_i, pairs_j) * n + np.maximum(pairs_i, pairs_j)
+    )
+    rho_p = np.asarray([r**p for r in rho_at])[level][unordered]
 
+    # each term is formed as (pi_i * w_ij) * x_ij, exactly as a dense n x n sum
+    # would; the pairs left out contribute exact zeros, which fsum ignores
     pi = chain.pi
-    full_avg = math.fsum((pi[:, None] * at * rho_p).ravel().tolist())
+    pi_at = pi[pairs_i] * at[pairs_i, pairs_j]
+    full_avg = math.fsum((pi_at * rho_p).tolist())
+    in_core = np.zeros(n, dtype=bool)
+    in_core[core_indices] = True
+    core_pairs = in_core[pairs_i]
     restricted_avg = math.fsum(
-        (at[core_indices] * rho_p[core_indices]).ravel().tolist()
+        (at[pairs_i[core_pairs], pairs_j[core_pairs]] * rho_p[core_pairs]).tolist()
     ) / n
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
@@ -425,9 +462,10 @@ def delayed_walk_replay(
     chain_lower = len(core_indices) / n * free_term
 
     if t:
-        emb_p = emb_dist**p
-        markov_lhs = math.fsum((pi[:, None] * at * emb_p).ravel().tolist())
-        markov_rhs = t * math.fsum((pi[:, None] * chain.a * emb_p).ravel().tolist())
+        emb_p = (emb_dist**p)[unordered]
+        markov_lhs = math.fsum((pi_at * emb_p).tolist())
+        pi_a = pi[pairs_i] * chain.a[pairs_i, pairs_j]
+        markov_rhs = t * math.fsum((pi_a * emb_p).tolist())
     else:
         markov_lhs = markov_rhs = 0.0
     upper = float(t)  # K^p t with K = 1
@@ -464,6 +502,7 @@ def delayed_walk_replay(
         markov_lhs=markov_lhs,
         markov_rhs=markov_rhs,
         upper=upper,
+        slack=tuple((name, hi - lo) for name, lo, hi in links),
     )
 
 

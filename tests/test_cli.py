@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -149,6 +150,13 @@ class TestWalkCommand:
         manifest = json.load(open(os.path.join(out_dir, "run_manifest.json")))
         assert manifest["wallClockSeconds"] >= 0.2
 
+    def test_malformed_times_is_an_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "walk", "--group", "z", "--times", "4,x", "--out", str(tmp_path / "w")
+        )
+        assert code == 1
+        assert err.startswith("error:") and "--times" in err
+
     def test_summary_contents(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "walk", "--group", "z", "--trials", "30", "--tmax", "512",
@@ -247,6 +255,42 @@ class TestMarkovCommands:
         payload = read_json(out)
         assert payload["coreSize"] == 81
         assert payload["fattenedSize"] == 189
+
+    def test_replay_reports_the_slack_of_each_link(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "markov", "replay", "--host", "z", "--F=-20:20", "--t", "4"
+        )
+        assert code == 0
+        payload = read_json(out)
+        slack = payload["slack"]
+        assert set(slack) == {
+            "chain_lower <= restricted_avg",
+            "restricted_avg <= full_avg",
+            "full_avg <= markov_lhs",
+            "markov_lhs <= markov_rhs",
+            "markov_lhs <= upper",
+            "markov_rhs <= upper",
+        }
+        assert slack["markov_lhs <= upper"] == payload["upper"] - payload["markovLhs"]
+        assert slack["restricted_avg <= full_avg"] == payload["fullAvg"] - payload["restrictedAvg"]
+
+    def test_delayed_over_physical_memory_exits_3(self, capsys):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "markov", "delayed", "--host", "z", "--subset", f"0:{n}")
+        assert code == 3
+        assert "physical memory" in err
+        assert time.perf_counter() - start < 5.0
+
+    def test_oversized_wreath_truncation_exits_3(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "markov", "replay", "--host", "zwrz-trunc", "--F", "5:5:5", "--t", "1"
+        )
+        assert code == 3
+        assert "truncation" in err
+        assert time.perf_counter() - start < 5.0
 
 
 class TestEmbedCommands:

@@ -207,6 +207,101 @@ class TestReplay:
             )
 
 
+def dense_replay(host, core, t, emb, rho, p=2.0):
+    """The replay's sums as dense n x n formulas over the full matrix power."""
+    fattening = markov.folner_fatten(host, core, t)
+    chain = markov.delayed_walk(markov.SubsetWalkSpec(host, fattening.fattened))
+    n, vertices, pi = chain.n, chain.states, chain.pi
+    points = np.array([emb(v) for v in vertices], dtype=float).reshape(n, -1)
+    at = np.linalg.matrix_power(chain.a, t)
+    coupled = (chain.a > 0) | (at > 0)
+    host_dist = np.zeros((n, n), dtype=int)
+    emb_dist = np.zeros((n, n))
+    for i, j in zip(*np.nonzero(coupled)):
+        host_dist[i, j] = host.distance(vertices[i], vertices[j])
+        emb_dist[i, j] = np.linalg.norm(points[i] - points[j])
+    if rho is None:
+        rho = markov._empirical_modulus(host_dist[coupled].astype(float), emb_dist[coupled])
+    rho_p = np.zeros((n, n))
+    for i, j in zip(*np.nonzero(coupled)):
+        rho_p[i, j] = float(rho(float(host_dist[i, j]))) ** p
+    emb_p = emb_dist**p
+    core_rows = [vertices.index(v) for v in fattening.core]
+
+    def weighted(w, x):
+        return math.fsum((pi[:, None] * w * x).ravel().tolist())
+
+    return {
+        "core_size": len(core_rows),
+        "fattened_size": n,
+        "ratio": fattening.ratio,
+        "t": t,
+        "p": p,
+        "lipschitz_max": float(emb_dist[coupled & (host_dist == 1)].max(initial=0.0)),
+        "restricted_avg": math.fsum((at[core_rows] * rho_p[core_rows]).ravel().tolist()) / n,
+        "full_avg": weighted(at, rho_p),
+        "markov_lhs": weighted(at, emb_p) if t else 0.0,
+        "markov_rhs": t * weighted(chain.a, emb_p) if t else 0.0,
+        "upper": float(t),
+    }
+
+
+def wreath_coordinates(g):
+    return (float(g.cursor),) + tuple(float(g.lamps.value_at(p)) for p in range(-3, 4))
+
+
+class TestReplayOracle:
+    """The pairwise replay against the dense n x n formulas."""
+
+    @pytest.mark.parametrize(
+        "host_name, core, t, emb, rho",
+        [("z", hosts.interval(-15, 15), t, lambda v: (float(v),), lambda s: s) for t in range(5)]
+        + [
+            ("z2", hosts.box(-4, 4, -4, 4), 2,
+             lambda v: (float(v[0]), float(v[1])), lambda s: s / math.sqrt(2.0)),
+            ("zwrz", hosts.wreath_truncation(1, 1, 1), 1, wreath_coordinates, None),
+            ("zwrz", hosts.wreath_truncation(1, 1, 1), 2, wreath_coordinates, None),
+        ],
+    )
+    def test_bit_identical_on_integer_embeddings(self, host_name, core, t, emb, rho):
+        host = hosts.host_by_name(host_name)
+        report = markov.delayed_walk_replay(host, core, t, emb, rho)
+        for field, want in dense_replay(host, core, t, emb, rho).items():
+            assert getattr(report, field) == want, field
+        links = {
+            "chain_lower <= restricted_avg": (report.chain_lower, report.restricted_avg),
+            "restricted_avg <= full_avg": (report.restricted_avg, report.full_avg),
+            "full_avg <= markov_lhs": (report.full_avg, report.markov_lhs),
+            "markov_lhs <= markov_rhs": (report.markov_lhs, report.markov_rhs),
+            "markov_lhs <= upper": (report.markov_lhs, report.upper),
+            "markov_rhs <= upper": (report.markov_rhs, report.upper),
+        }
+        assert [name for name, _ in report.slack] == list(links)
+        for name, slack in report.slack:
+            lo, hi = links[name]
+            assert slack == hi - lo
+
+    @pytest.mark.parametrize("t", range(5))
+    def test_non_integer_embedding_within_rounding(self, t):
+        host = hosts.host_by_name("z")
+        core = hosts.interval(-15, 15)
+        emb, rho = (lambda v: (0.6 * v, 0.8 * v)), (lambda s: 0.5 * s)
+        report = markov.delayed_walk_replay(host, core, t, emb, rho)
+        for field, want in dense_replay(host, core, t, emb, rho).items():
+            assert getattr(report, field) == pytest.approx(want, rel=1e-12, abs=0.0), field
+
+
+    def test_rejections_name_the_first_offending_pair(self):
+        host = hosts.host_by_name("z")
+        core = hosts.interval(-3, 3)
+        with pytest.raises(ValidationError, match=r"pair \(-4, -3\) stretches to 2\.0$"):
+            markov.delayed_walk_replay(host, core, 1, lambda v: (2.0 * v,), lambda s: s)
+        with pytest.raises(ValidationError, match=r"pair \(-6, -3\): rho\(3\) = 3\.5 > 3\.0$"):
+            markov.delayed_walk_replay(
+                host, core, 3, lambda v: (float(v),), lambda s: s if s < 3 else 3.5
+            )
+
+
 class TestBoundCalculator:
     def test_exact_rational_values(self):
         assert markov.alpha_upper(Fraction(3, 4)) == Fraction(2, 3)
