@@ -22,8 +22,6 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__, embedding, hosts, markov, metric, walk
 from .errors import (
     EstimationError,
@@ -486,20 +484,9 @@ def _cmd_pipeline(ns, config) -> int:
     for prefactor in (1, 2, 4, 8, 16):
         scan_elements.extend(embedding.balanced_family(alpha, prefactor, 200))
     observations = embedding.norm_observations(scan_elements, alpha, eps)
-    distances = np.array([d for d, _, _ in observations], dtype=float)
-    norms = np.array([v for _, v, _ in observations], dtype=float)
-    order = np.argsort(distances)
-    suffix_min = np.minimum.accumulate(norms[order][::-1])[::-1]
-    sorted_d = distances[order]
-
-    def rho_hat(s: float) -> float:
-        index = np.searchsorted(sorted_d, s, side="left")
-        if index >= len(sorted_d):
-            raise ValidationError(
-                f"compression envelope queried at {s}, beyond the deepest observation "
-                f"{sorted_d[-1]}"
-            )
-        return float(suffix_min[index])
+    rho_hat = markov.empirical_modulus(
+        [d for d, _, _ in observations], [v for _, v, _ in observations]
+    )
 
     checks = []
     for t in tested:

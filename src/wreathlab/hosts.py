@@ -3,13 +3,17 @@
 Each host exposes uniform-degree adjacency, an exact graph metric, and a
 deterministic vertex ordering. The line and the grid use their closed-form
 metrics; the wreath host delegates to the exact word metric, so none of the
-chain constructions ever needs a graph search for distances.
+chain constructions ever needs a graph search for distances. Besides the
+scalar distance(u, v), each host takes distances(vertices, i, j): the int64
+distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from . import metric
 from .errors import ResourceLimitError, ValidationError
@@ -40,11 +44,12 @@ class ZLine:
     def distance(self, u: int, v: int) -> int:
         return abs(u - v)
 
+    def distances(self, vertices: Sequence[int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        x = np.asarray(vertices, dtype=np.int64)
+        return np.abs(x[i] - x[j])
+
     def sort_key(self, v: int):
         return v
-
-    def coordinates(self, v: int) -> tuple[float, ...]:
-        return (float(v),)
 
 
 class ZGrid:
@@ -60,11 +65,12 @@ class ZGrid:
     def distance(self, u: tuple[int, int], v: tuple[int, int]) -> int:
         return abs(u[0] - v[0]) + abs(u[1] - v[1])
 
+    def distances(self, vertices: Sequence[tuple[int, int]], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        xy = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
+        return np.abs(xy[i] - xy[j]).sum(axis=1)
+
     def sort_key(self, v: tuple[int, int]):
         return v
-
-    def coordinates(self, v: tuple[int, int]) -> tuple[float, ...]:
-        return (float(v[0]), float(v[1]))
 
 
 class WreathCayley:
@@ -78,6 +84,10 @@ class WreathCayley:
 
     def distance(self, u: GroupElement, v: GroupElement) -> int:
         return metric.distance(u, v).total
+
+    def distances(self, vertices: Sequence[GroupElement], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        lamps, cursors = metric.lamp_table(vertices)
+        return metric.distances(lamps, cursors, i, j)
 
     def sort_key(self, v: GroupElement):
         return encode(v)

@@ -43,6 +43,54 @@ class TestChainValidation:
             chain.validate()
 
 
+def dense_residuals(chain):
+    """The chain axioms' residuals with detailed balance as a dense n x n formula."""
+    pi, a = chain.pi, chain.a
+    balance = pi[:, None] * a
+    return {
+        "row-stochasticity": float(np.abs(a.sum(axis=1) - 1.0).max()),
+        "pi-normalization": float(abs(math.fsum(pi.tolist()) - 1.0)),
+        "stationarity": float(np.abs(pi @ a - pi).max()),
+        "detailed-balance": float(np.abs(balance - balance.T).max()),
+    }
+
+
+class TestResidualsOracle:
+    """chain_residuals on the nonzeros of a against the dense formulas."""
+
+    def test_random_reversible_chains(self):
+        for seed in range(40):
+            chain = markov.random_reversible_chain(1 + seed % 11, seed)
+            assert markov.chain_residuals(chain) == dense_residuals(chain)
+
+    def test_wreath_delayed_walk(self):
+        host = hosts.host_by_name("zwrz")
+        fattened = markov.folner_fatten(host, hosts.wreath_truncation(1, 1, 1), 1).fattened
+        chain = markov.delayed_walk(markov.SubsetWalkSpec(host, fattened))
+        assert markov.chain_residuals(chain) == dense_residuals(chain)
+
+    def test_broken_detailed_balance_keeps_its_residual(self):
+        a = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        chain = markov.FiniteChain((0, 1, 2), np.full(3, 1 / 3), a)
+        residuals = markov.chain_residuals(chain)
+        assert residuals == dense_residuals(chain)
+        assert residuals["detailed-balance"] > markov.CHAIN_TOL
+        with pytest.raises(ValidationError, match="detailed-balance"):
+            chain.validate()
+
+    def test_one_sided_entries(self):
+        # random zero patterns leave pairs with a_ij > 0 but a_ji = 0 on both
+        # sides of the diagonal, each with its own imbalance
+        rng = np.random.default_rng(5)
+        for n in range(2, 12):
+            a = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+            a[np.arange(n), np.arange(n)] += 0.1
+            a /= a.sum(axis=1, keepdims=True)
+            pi = rng.random(n)
+            chain = markov.FiniteChain(tuple(range(n)), pi / pi.sum(), a)
+            assert markov.chain_residuals(chain) == dense_residuals(chain)
+
+
 class TestTypeInequality:
     def test_flip_alternates_and_satisfies_bound(self):
         chain = two_state_flip()
@@ -118,6 +166,28 @@ class TestDelayedWalk:
         host = hosts.host_by_name("z")
         with pytest.raises(ValidationError):
             markov.SubsetWalkSpec(host, (0, 0, 1))
+
+
+class TestHostDistances:
+    """host.distances in one array pass against the scalar host.distance."""
+
+    @pytest.mark.parametrize(
+        "host_name, core, radius",
+        [
+            ("z", hosts.interval(-6, 6), 3),
+            ("z2", hosts.box(-2, 2, -2, 2), 2),
+            ("zwrz", hosts.wreath_truncation(1, 1, 1), 1),
+        ],
+    )
+    def test_equal_to_scalar_on_a_fattened_set(self, host_name, core, radius):
+        host = hosts.host_by_name(host_name)
+        vertices = markov.folner_fatten(host, core, radius).fattened
+        i, j = np.triu_indices(len(vertices))
+        got = host.distances(vertices, i, j)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            host.distance(vertices[a], vertices[b]) for a, b in zip(i.tolist(), j.tolist())
+        ]
 
 
 class TestFattening:
@@ -221,7 +291,7 @@ def dense_replay(host, core, t, emb, rho, p=2.0):
         host_dist[i, j] = host.distance(vertices[i], vertices[j])
         emb_dist[i, j] = np.linalg.norm(points[i] - points[j])
     if rho is None:
-        rho = markov._empirical_modulus(host_dist[coupled].astype(float), emb_dist[coupled])
+        rho = markov.empirical_modulus(host_dist[coupled].astype(float), emb_dist[coupled])
     rho_p = np.zeros((n, n))
     for i, j in zip(*np.nonzero(coupled)):
         rho_p[i, j] = float(rho(float(host_dist[i, j]))) ** p

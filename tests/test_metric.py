@@ -1,5 +1,6 @@
-"""Word metric: closed form, search oracle, balls, and the profile bracket."""
+"""Word metric: closed form, its array form, search oracle, balls, and the profile bracket."""
 
+import numpy as np
 import pytest
 
 from wreathlab import metric
@@ -53,6 +54,49 @@ class TestClosedForm:
             bc = metric.distance(b, c).total
             ac = metric.distance(a, c).total
             assert ac <= ab + bc
+
+
+def array_distances(pairs):
+    """metric.distances over (a, b) pairs, all packed into one lamp table."""
+    lamps, cursors = metric.lamp_table([g for pair in pairs for g in pair])
+    a_rows = np.arange(0, 2 * len(pairs), 2)
+    return metric.distances(lamps, cursors, a_rows, a_rows + 1).tolist()
+
+
+class TestArrayForm:
+    """metric.distances against the scalar closed form it must equal."""
+
+    def test_lamp_table_layout(self):
+        lamps, cursors = metric.lamp_table(
+            [element_from_text("2; -1:3"), element_from_text("-4; 3:-2")]
+        )
+        # the window starts at position -1, so cursors shift by +1
+        assert lamps.dtype == cursors.dtype == np.int64
+        assert lamps.tolist() == [[3, 0, 0, 0, 0], [0, 0, 0, 0, -2]]
+        assert cursors.tolist() == [3, -3]
+
+    def test_identity_to_ball8(self, ball8):
+        pairs = [(IDENTITY, g) for g in ball8]
+        got = array_distances(pairs)
+        assert got == [metric.distance(a, b).total for a, b in pairs]
+        assert got == [ball8.distance_of(g) for g in ball8]
+
+    def test_ball8_from_a_base_point(self, ball8):
+        base = element_from_text("-3; -5:2, 1:-1, 4:3")
+        pairs = [(base, multiply(base, g)) for g in ball8]
+        got = array_distances(pairs)
+        assert got == [metric.distance(a, b).total for a, b in pairs]
+        assert got == [ball8.distance_of(g) for g in ball8]
+
+    def test_random_pairs(self, rng):
+        pairs = [(random_element(rng), random_element(rng)) for _ in range(300)]
+        for a, _ in pairs[:100]:
+            # equal lamps: an empty lamp difference, with and without a cursor gap
+            shifted = multiply(a, element_from_text(f"{int(rng.integers(-9, 10))};"))
+            pairs += [(a, a), (a, shifted), (shifted, a)]
+        assert any(a.cursor < 0 and b.cursor < 0 for a, b in pairs)
+        assert any(a.lamps == b.lamps and a.cursor != b.cursor for a, b in pairs)
+        assert array_distances(pairs) == [metric.distance(a, b).total for a, b in pairs]
 
 
 class TestSearchOracle:
