@@ -205,6 +205,13 @@ def _mean_fit_or_none(sample: walk.WalkSample) -> Optional[float]:
         return None
 
 
+def _calibrated_tail(sample: walk.WalkSample, beta: float) -> tuple[int, float, walk.TailEstimate]:
+    """(reference time, median-rule constant, tail estimate) at exponent beta."""
+    reference = 1024 if 1024 in sample.times else sample.times[len(sample.times) // 2]
+    c = walk.median_rule_constant(sample, beta, reference_time=reference)
+    return reference, c, walk.estimate_tail(sample, c, beta)
+
+
 def _cmd_walk(ns, config) -> int:
     group = ns.group
     seed = _resolve(ns, config, "seed", int)
@@ -224,9 +231,7 @@ def _cmd_walk(ns, config) -> int:
     fit = walk.estimate_beta(sample)
     fit_median = walk.estimate_beta(sample, statistic="median")
     calibration_beta = 0.75 if group == "zwrz" else 0.5
-    reference = 1024 if 1024 in sample.times else sample.times[len(sample.times) // 2]
-    c = walk.median_rule_constant(sample, calibration_beta, reference_time=reference)
-    tail = walk.estimate_tail(sample, c, calibration_beta)
+    reference, c, tail = _calibrated_tail(sample, calibration_beta)
     summary = {
         "group": group,
         "seed": seed,
@@ -393,23 +398,23 @@ def _cmd_embed_pair(ns, config) -> int:
 
 def _sampler_from_spec(spec: str, alpha: float):
     head, _, arg = spec.partition(":")
-    if head == "ball":
-        radius = int(arg or "4")
-        family = embedding.ball_elements(radius)
-        return lambda rng, count: family[:count]
-    if head == "cursor":
-        family = embedding.pure_cursor_family(int(arg or "100"))
-        return lambda rng, count: family[:count]
-    if head == "lamp":
-        first, _, second = arg.partition(":")
-        family = embedding.pure_lamp_family(int(first or "3"), int(second or "50"))
-        return lambda rng, count: family[:count]
-    if head == "balanced":
-        family = embedding.balanced_family(alpha, float(arg or "1"), 200)
-        return lambda rng, count: family[:count]
     if head == "random":
         return embedding.random_element_sampler()
-    raise ValidationError(f"unknown sampler {spec!r}")
+    try:
+        if head == "ball":
+            family = embedding.ball_elements(int(arg or "4"))
+        elif head == "cursor":
+            family = embedding.pure_cursor_family(int(arg or "100"))
+        elif head == "lamp":
+            first, _, second = arg.partition(":")
+            family = embedding.pure_lamp_family(int(first or "3"), int(second or "50"))
+        elif head == "balanced":
+            family = embedding.balanced_family(alpha, float(arg or "1"), 200)
+        else:
+            raise ValidationError(f"unknown sampler {spec!r}")
+    except ValueError:
+        raise ValidationError(f"sampler {spec!r} has a malformed number") from None
+    return lambda rng, count: family[:count]
 
 
 def _cmd_embed_scan(ns, config) -> int:
@@ -440,22 +445,19 @@ def _cmd_embed_scan(ns, config) -> int:
 def _cmd_bound(ns, config) -> int:
     if ns.beta is None and ns.iterated_k is None:
         raise ValidationError("bound requires --beta or --iterated-k")
+    rows = []
     if ns.beta is not None:
         value = markov.alpha_upper(ns.beta)
         print(f"alpha upper bound for displacement exponent {ns.beta}: {float(value)} (= {value})")
         beta_fraction = Fraction(ns.beta)
-        for k, beta_k, bound_k in markov.iterated_wreath_table(12):
-            if beta_k == beta_fraction:
-                print(
-                    f"iterated level k={k}: displacement exponent {beta_k} "
-                    f"-> compression bound {bound_k} (= {float(bound_k)})"
-                )
+        rows += [row for row in markov.iterated_wreath_table(12) if row[1] == beta_fraction]
     if ns.iterated_k is not None:
-        for k, beta_k, bound_k in markov.iterated_wreath_table(ns.iterated_k):
-            print(
-                f"iterated level k={k}: displacement exponent {beta_k} "
-                f"-> compression bound {bound_k} (= {float(bound_k)})"
-            )
+        rows += markov.iterated_wreath_table(ns.iterated_k)
+    for k, beta_k, bound_k in rows:
+        print(
+            f"iterated level k={k}: displacement exponent {beta_k} "
+            f"-> compression bound {bound_k} (= {float(bound_k)})"
+        )
     return 0
 
 
@@ -472,9 +474,7 @@ def _cmd_pipeline(ns, config) -> int:
     times = _default_times(tmax)
     sample = walk.simulate("zwrz", times, trials, seed)
     fit = walk.estimate_beta(sample)
-    reference = 1024 if 1024 in sample.times else sample.times[len(sample.times) // 2]
-    c = walk.median_rule_constant(sample, 0.75, reference_time=reference)
-    tail = walk.estimate_tail(sample, c, 0.75)
+    _, c, tail = _calibrated_tail(sample, 0.75)
     tested = [t for t in sample.times if 64 <= t <= 4096]
     delta_min = min(tail.delta_hat[t] for t in tested)
     if delta_min <= 0:
@@ -513,13 +513,7 @@ def _cmd_pipeline(ns, config) -> int:
         "checks": checks,
         "pass": True,
     }
-    scan_report = embedding.CompressionReport(
-        alpha,
-        tuple(observations),
-        embedding.fit_exponent(observations)[0],
-        min(v / d ** embedding.lower_shape_exponent(alpha) for d, v, _ in observations),
-        max(v / d for d, v, _ in observations),
-    )
+    scan_report = embedding.compression_report(alpha, observations)
     sink.add("walk_samples.csv", _walk_csv(sample))
     sink.add("walk_tail.csv", _tail_csv(tail))
     sink.add("compression_observations.csv", _compression_csv(scan_report))

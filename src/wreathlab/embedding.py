@@ -18,6 +18,12 @@ gap) is summed in closed form as a binomial series in Hurwitz zeta values,
 with c_p the convolution of binomial coefficients C(alpha, j) and a rigorous
 geometric remainder once delta/m0 <= 1/4. The reported errorBound covers the
 truncation of that series; it always lands at or below the requested eps.
+
+One routine sums the window of the right half-lines; the left side is its
+mirror image n -> -n (cursors, support and differing positions negated). It
+never compares restrictions: those of a and b to [n, inf) agree exactly when
+n is past the last position where their lamps differ. embedding_image keeps
+its own loops over explicit keys, as an independent oracle for that routine.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "CompressionReport",
     "norm_observations",
     "fit_exponent",
+    "compression_report",
     "compression_scan",
     "LowerBoundAudit",
     "lower_bound_audit",
@@ -113,17 +120,10 @@ def half_line_restriction(lamps: LampConfig, side: str, endpoint: int) -> LampCo
 def half_line_coefficient(lamps: LampConfig, cursor: int, key: EmbeddingKey, alpha: float) -> float:
     """Coefficient of one phi coordinate for the element (lamps, cursor)."""
     alpha = _check_alpha(alpha)
-    if key.side == "right":
-        if key.endpoint <= cursor:
-            return 0.0
-        if half_line_restriction(lamps, "right", key.endpoint) != key.restriction:
-            return 0.0
-        return float(key.endpoint - cursor) ** alpha
-    if key.endpoint >= cursor:
+    gap = key.endpoint - cursor if key.side == "right" else cursor - key.endpoint
+    if gap <= 0 or half_line_restriction(lamps, key.side, key.endpoint) != key.restriction:
         return 0.0
-    if half_line_restriction(lamps, "left", key.endpoint) != key.restriction:
-        return 0.0
-    return float(cursor - key.endpoint) ** alpha
+    return float(gap) ** alpha
 
 
 def _binomial_coefficients(alpha: float, order: int) -> list[float]:
@@ -171,65 +171,27 @@ def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[f
     raise ResourceLimitError("tail series did not certify within the order cap")
 
 
-class _SideSum(NamedTuple):
-    window: float  # exact-window contribution to the squared phi distance
-    tail: float  # series estimate of the infinite tail
-    remainder: float  # certified bound on the tail estimate's error
-    cutoff: int  # last explicitly enumerated endpoint (right) / first (left)
+def _half_line_sum(
+    k1: int, k2: int, reach: float, last_diff: float, alpha: float, margin: int, tail_tol: float
+) -> tuple[float, float, float]:
+    """(window sum, tail estimate, tail remainder) of the right half-line keys.
 
-
-def _restriction_suffixes(entries: tuple[tuple[int, int], ...]):
-    positions = [p for p, _ in entries]
-
-    def right_of(n: int) -> tuple:
-        return entries[bisect_left(positions, n) :]
-
-    def left_of(n: int) -> tuple:
-        return entries[: bisect_right(positions, n)]
-
-    return right_of, left_of
-
-
-def _side_sum(
-    a: GroupElement, b: GroupElement, alpha: float, side: str, margin: int, tail_tol: float
-) -> _SideSum:
-    k1, k2 = a.cursor, b.cursor
-    delta = abs(k1 - k2)
-    right_a, left_a = _restriction_suffixes(a.lamps.entries)
-    right_b, left_b = _restriction_suffixes(b.lamps.entries)
+    reach is the last lamp position of either element and last_diff the last
+    position where their lamps differ (-inf when there is none), so the two
+    restrictions to [n, inf) agree exactly when n > last_diff.
+    """
+    k_hi = max(k1, k2)
+    cutoff = max(k_hi + margin, reach)
     terms: list[float] = []
-    if side == "right":
-        k_hi = max(k1, k2)
-        support_hi = max(
-            [p for p, _ in a.lamps.entries] + [p for p, _ in b.lamps.entries],
-            default=k_hi,
-        )
-        cutoff = max(k_hi + margin, support_hi)
-        for n in range(min(k1, k2) + 1, cutoff + 1):
-            ca = float(n - k1) ** alpha if n > k1 else 0.0
-            cb = float(n - k2) ** alpha if n > k2 else 0.0
-            if right_a(n) == right_b(n):
-                terms.append((ca - cb) ** 2)
-            else:
-                terms.append(ca * ca + cb * cb)
-        m0 = cutoff - k_hi + 1
-    else:
-        k_lo = min(k1, k2)
-        support_lo = min(
-            [p for p, _ in a.lamps.entries] + [p for p, _ in b.lamps.entries],
-            default=k_lo,
-        )
-        cutoff = min(k_lo - margin, support_lo)
-        for n in range(cutoff, max(k1, k2)):
-            ca = float(k1 - n) ** alpha if n < k1 else 0.0
-            cb = float(k2 - n) ** alpha if n < k2 else 0.0
-            if left_a(n) == left_b(n):
-                terms.append((ca - cb) ** 2)
-            else:
-                terms.append(ca * ca + cb * cb)
-        m0 = k_lo - cutoff + 1
-    tail, remainder = shifted_power_tail(delta, m0, alpha, tail_tol)
-    return _SideSum(math.fsum(terms), tail, remainder, cutoff)
+    for n in range(min(k1, k2) + 1, cutoff + 1):
+        ca = float(n - k1) ** alpha if n > k1 else 0.0
+        cb = float(n - k2) ** alpha if n > k2 else 0.0
+        if n > last_diff:
+            terms.append((ca - cb) ** 2)
+        else:
+            terms.append(ca * ca + cb * cb)
+    tail, remainder = shifted_power_tail(abs(k1 - k2), cutoff - k_hi + 1, alpha, tail_tol)
+    return math.fsum(terms), tail, remainder
 
 
 def _squared_parts(
@@ -252,10 +214,19 @@ def _squared_parts(
     # clamp so the slack stays below the squared gap of distinct elements
     # (>= 1), keeping error_bound <= eps even for generous eps requests
     tail_tol = min(eps, 1.0) ** 2 / 8.0
-    right = _side_sum(a, b, alpha, "right", margin, tail_tol)
-    left = _side_sum(a, b, alpha, "left", margin, tail_tol)
-    phi = math.fsum([right.window, left.window, right.tail, left.tail])
-    return exact, phi, right.remainder + left.remainder
+    support = [p for p, _ in a.lamps.entries + b.lamps.entries]
+    k1, k2 = a.cursor, b.cursor
+    right_window, right_tail, right_rem = _half_line_sum(
+        k1, k2, max(support, default=-math.inf), max(lamp_diff, default=-math.inf),
+        alpha, margin, tail_tol,
+    )
+    # the left half-lines are the right ones of the mirror image n -> -n
+    left_window, left_tail, left_rem = _half_line_sum(
+        -k1, -k2, -min(support, default=math.inf), -min(lamp_diff, default=math.inf),
+        alpha, margin, tail_tol,
+    )
+    phi = math.fsum([right_window, left_window, right_tail, left_tail])
+    return exact, phi, right_rem + left_rem
 
 
 def embedding_distance(
@@ -457,6 +428,21 @@ def fit_exponent(observations: Sequence[tuple[int, float, float]]) -> tuple[floa
     return (float(slope), float(intercept))
 
 
+def compression_report(
+    alpha: float, observations: Sequence[tuple[int, float, float]]
+) -> CompressionReport:
+    """Fit the shape of (distance, norm, error bound) observations.
+
+    fitted_lower_constant is the smallest ratio norm / distance^shape for the
+    lower-bound shape exponent; lipschitz_max is the largest norm / distance.
+    """
+    slope, _ = fit_exponent(observations)
+    shape = lower_shape_exponent(alpha)
+    lower_constant = min(v / d**shape for d, v, _ in observations)
+    lipschitz_max = max(v / d for d, v, _ in observations)
+    return CompressionReport(alpha, tuple(observations), slope, lower_constant, lipschitz_max)
+
+
 def compression_scan(
     alpha: float,
     sampler: Callable[[np.random.Generator, int], Iterable[GroupElement]],
@@ -464,11 +450,7 @@ def compression_scan(
     eps: float,
     seed: int,
 ) -> CompressionReport:
-    """Sample elements, record (distance, certified norm), fit the shape.
-
-    fitted_lower_constant is the smallest ratio norm / distance^shape for the
-    lower-bound shape exponent; lipschitz_max is the largest norm / distance.
-    """
+    """Sample elements, record (distance, certified norm), fit the shape."""
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
     if count < 10:
@@ -477,12 +459,7 @@ def compression_scan(
     elements = list(sampler(rng, count))
     if not elements:
         raise EstimationError("sampler produced no elements")
-    observations = norm_observations(elements, alpha, eps)
-    slope, _ = fit_exponent(observations)
-    shape = lower_shape_exponent(alpha)
-    lower_constant = min(v / d**shape for d, v, _ in observations)
-    lipschitz_max = max(v / d for d, v, _ in observations)
-    return CompressionReport(alpha, tuple(observations), slope, lower_constant, lipschitz_max)
+    return compression_report(alpha, norm_observations(elements, alpha, eps))
 
 
 class LowerBoundAudit(NamedTuple):
@@ -549,8 +526,8 @@ def balanced_family(alpha: float, prefactor: float, max_distance: int) -> list[G
     lower-bound shape exponent; distance is exactly 2 spread + mass.
     """
     alpha = _check_alpha(alpha)
-    if prefactor <= 0:
-        raise ValidationError("prefactor must be positive")
+    if not 0 < prefactor < math.inf:
+        raise ValidationError("prefactor must be positive and finite")
     out = []
     m = 1
     while True:

@@ -49,14 +49,6 @@ class LampConfig:
                 raise ValidationError("lamp positions must be strictly increasing")
             last = position
 
-    @classmethod
-    def from_dict(cls, values: dict[int, int]) -> "LampConfig":
-        entries = tuple(sorted((p, v) for p, v in values.items() if v != 0))
-        return cls(entries)
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def value_at(self, position: int) -> int:
         for p, v in self.entries:
             if p == position:

@@ -27,7 +27,6 @@ __all__ = [
     "interval",
     "box",
     "wreath_truncation",
-    "ball_around",
     "union_of_balls",
 ]
 
@@ -137,11 +136,6 @@ def wreath_truncation(max_cursor: int, max_support: int, max_value: int) -> list
     ]
     out.sort(key=encode)
     return out
-
-
-def ball_around(host, center, radius: int, cap: int = metric.DEFAULT_BALL_CAP) -> list:
-    """Vertices within the radius of one center, in host order."""
-    return union_of_balls(host, [center], radius, cap)
 
 
 def union_of_balls(host, centers: Iterable[Hashable], radius: int, cap: int = metric.DEFAULT_BALL_CAP) -> list:

@@ -107,6 +107,11 @@ def _pairwise_power(points: np.ndarray, p: float) -> np.ndarray:
     return sq ** (p / 2.0)
 
 
+def _weighted_sum(pi: np.ndarray, w: np.ndarray, dp: np.ndarray) -> float:
+    """fsum over i, j of pi_i w_ij dp_ij, each term formed as (pi_i w_ij) dp_ij."""
+    return math.fsum((pi[:, None] * w * dp).ravel().tolist())
+
+
 def markov_type_sides(
     chain: FiniteChain, points: np.ndarray, p: float, t: int
 ) -> tuple[float, float]:
@@ -131,8 +136,8 @@ def markov_type_sides(
         raise ValidationError("points must be finite")
     dp = _pairwise_power(points, p)
     at = np.linalg.matrix_power(chain.a, t)
-    lhs = math.fsum((chain.pi[:, None] * at * dp).ravel().tolist())
-    rhs = t * math.fsum((chain.pi[:, None] * chain.a * dp).ravel().tolist())
+    lhs = _weighted_sum(chain.pi, at, dp)
+    rhs = t * _weighted_sum(chain.pi, chain.a, dp)
     return (lhs, rhs)
 
 
@@ -162,13 +167,11 @@ def markov_type_campaign(
         dim = int(rng.integers(1, 5))
         points = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
         dp = _pairwise_power(points, 2.0)
-        weighted = chain.pi[:, None] * chain.a
-        rhs_step = math.fsum((weighted * dp).ravel().tolist())
+        rhs_step = _weighted_sum(chain.pi, chain.a, dp)
         at = np.eye(n)
         for t in range(1, tmax + 1):
             at = at @ chain.a
-            lhs = math.fsum((chain.pi[:, None] * at * dp).ravel().tolist())
-            violation = lhs - t * rhs_step
+            violation = _weighted_sum(chain.pi, at, dp) - t * rhs_step
             checks += 1
             if violation > max_violation:
                 max_violation = violation

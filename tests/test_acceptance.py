@@ -27,6 +27,7 @@ import pytest
 from wreathlab import cli, embedding, hosts, markov, metric, walk
 from wreathlab.group import IDENTITY, element_from_text
 
+from conftest import FULL_TIMES, FULL_TRIALS, SEED
 from test_embedding import direct_step_norm_squared
 
 ALPHA = 0.45
@@ -70,7 +71,7 @@ def test_criterion_3_delayed_walk_validity_and_replay():
         host = hosts.host_by_name(host_name)
         origin = 0 if host_name == "z" else (0, 0)
         for _ in range(50):
-            ball = hosts.ball_around(host, origin, int(rng.integers(1, radius_hi + 1)))
+            ball = hosts.union_of_balls(host, [origin], int(rng.integers(1, radius_hi + 1)))
             keep = rng.random(len(ball)) < 0.5
             subset = [x for x, k in zip(ball, keep) if k] or [ball[0]]
             chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(subset)))
@@ -214,13 +215,40 @@ def test_criterion_7_compression_lower_bound_shape(scan_observations):
     )
 
 
-def test_criterion_8_end_to_end_pipeline(tmp_path, capsys):
-    code = cli.run(["pipeline", "--out", str(tmp_path / "pipe")])
+# sha256 of the seed-7 pipeline bodies at the defaults, as recorded in
+# perfbench/reference.json; equal config and seed must reproduce these bytes
+PIPELINE_SEED7_SHA256 = {
+    "walk_samples.csv": "ed637c6859a34e04c3684c357122a6a71f491fd5295692c915f438f8f7de067a",
+    "walk_tail.csv": "74477b6c1ba0cab7fc76e7382b25ab5e6bb48f7d495cbc1a51e0df48a6878b3e",
+    "compression_observations.csv": "66fa075ef666f8dc343cb36cef5280d985e99d1ff50236cd2b6143aaa36bf64f",
+    "pipeline_summary.json": "228afefb2a8e2d298b3feb0ff74ef5368f775af11a2664a1de72386e6aa4167b",
+}
+
+
+def test_criterion_8_end_to_end_pipeline(tmp_path, capsys, monkeypatch, zwrz_sample):
+    # the pipeline's default walk is the session fixture's; reuse it, run the
+    # rest of the command for real
+    calls = []
+
+    def simulate(*args):
+        calls.append(args)
+        return zwrz_sample
+
+    monkeypatch.setattr(walk, "simulate", simulate)
+    out_dir = tmp_path / "pipe"
+    code = cli.run(["pipeline", "--out", str(out_dir)])
     out = capsys.readouterr().out
+    import hashlib
     import json
 
+    assert calls == [("zwrz", FULL_TIMES, FULL_TRIALS, SEED)]
     payload = json.loads(out)
     checks_ok = bool(payload["checks"]) and all(c["pass"] for c in payload["checks"])
+    hashes = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in PIPELINE_SEED7_SHA256
+    }
+    assert hashes == PIPELINE_SEED7_SHA256
     ok = code == 0 and checks_ok
     report(
         8,

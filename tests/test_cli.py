@@ -328,6 +328,17 @@ class TestEmbedCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "spec", ["ball:x", "cursor:abc", "lamp:3:q", "balanced:zz", "balanced:inf", "balanced:nan"]
+    )
+    def test_scan_rejects_malformed_sampler_numbers(self, capsys, tmp_path, spec):
+        code, _, err = run_cli(
+            capsys, "embed", "scan", "--sampler", spec, "--out", str(tmp_path / "s")
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "s")
+
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "embed", "norms", "--alpha", "0.75")
         assert code == 1

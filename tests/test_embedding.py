@@ -7,7 +7,7 @@ import pytest
 
 from wreathlab import embedding as emb, metric
 from wreathlab.errors import EstimationError, InvariantViolation, ValidationError
-from wreathlab.group import IDENTITY, LampConfig, element_from_text, multiply
+from wreathlab.group import IDENTITY, GroupElement, LampConfig, element_from_text, multiply
 
 from test_group import random_element
 
@@ -168,6 +168,52 @@ class TestNorms:
             v1, e1 = emb.embedding_distance(a, b, ALPHA)
             v2, e2 = emb.embedding_distance(b, a, ALPHA)
             assert abs(v1 - v2) <= e1 + e2
+
+
+def mirror(g):
+    """The image of g under n -> -n: lamps (p -> f(-p)) and cursor -k."""
+    return GroupElement(LampConfig(tuple((-p, v) for p, v in reversed(g.lamps.entries))), -g.cursor)
+
+
+def nearby_pairs(rng, count):
+    """Random pairs, half of them b = a g for a small g, so lamps partly agree."""
+    for index in range(count):
+        a = random_element(rng)
+        if index % 2:
+            yield a, random_element(rng)
+        else:
+            g = GroupElement(
+                LampConfig(((int(rng.integers(-3, 4)), 1),)), int(rng.integers(-3, 4))
+            )
+            yield a, multiply(a, g)
+
+
+class TestHalfLineWindow:
+    """The window sum compares restrictions by one threshold, and the left side
+    is the right side of the mirror image."""
+
+    def test_threshold_rule_matches_restrictions(self, rng):
+        for a, b in nearby_pairs(rng, 80):
+            support = set(a.lamps.support()) | set(b.lamps.support())
+            differ = [p for p in support if a.lamps.value_at(p) != b.lamps.value_at(p)]
+            last_diff = max(differ, default=-math.inf)
+            first_diff = min(differ, default=math.inf)
+            margin = max(4 * abs(a.cursor - b.cursor), emb.BASE_MARGIN)
+            ends = list(support) + [a.cursor, b.cursor]
+            for n in range(min(ends) - margin, max(ends) + margin + 1):
+                for side, agree in (("right", n > last_diff), ("left", n < first_diff)):
+                    ra = emb.half_line_restriction(a.lamps, side, n)
+                    rb = emb.half_line_restriction(b.lamps, side, n)
+                    assert (ra == rb) == agree, (a, b, side, n)
+
+    def test_mirror_is_a_symmetry_to_the_bit(self, rng):
+        for a, b in nearby_pairs(rng, 80):
+            assert mirror(mirror(a)) == a
+            assert metric.distance(mirror(a), mirror(b)).total == metric.distance(a, b).total
+            for alpha, eps in ((ALPHA, 1e-6), (0.2, 1e-8)):
+                assert emb.embedding_distance(mirror(a), mirror(b), alpha, eps) == (
+                    emb.embedding_distance(a, b, alpha, eps)
+                )
 
 
 class TestImage:

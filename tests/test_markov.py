@@ -128,6 +128,19 @@ class TestTypeInequality:
         assert report["maxViolation"] <= report["tolerance"]
         assert report["checks"] == 40 * 32
 
+    def test_weighted_sum_is_frozen(self):
+        # t = 1 makes the two sides one sum, so every campaign peaks at 0.0
+        report = markov.markov_type_campaign(40, 8, 32, seed=11)
+        assert report["maxViolation"] == 0.0
+        assert report["worst"] == {"chain": 0, "states": 2, "t": 1}
+        # on this chain, forming a term as pi_i (a_ij dp_ij), or summing with
+        # plain float addition, moves the last bits; t = 1 keeps BLAS out
+        chain = markov.random_reversible_chain(10, 6)
+        points = np.random.default_rng(6).standard_normal((10, 3))
+        assert markov.markov_type_sides(chain, points, 2.0, 1) == (
+            8.68228107690547, 8.68228107690547
+        )
+
 
 class TestDelayedWalk:
     def test_interval_matrix_is_exact(self):
