@@ -81,7 +81,7 @@ def _check_alpha(alpha: float) -> float:
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)
-    if eps < EPS_FLOOR:
+    if not eps >= EPS_FLOOR:  # NaN fails too
         raise ValidationError(f"eps must be >= {EPS_FLOOR} (floating accumulation floor)")
     return eps
 

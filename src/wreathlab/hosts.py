@@ -6,11 +6,11 @@ metrics; the wreath host delegates to the exact word metric, so none of the
 chain constructions ever needs a graph search for distances. Besides the
 scalar distance(u, v), each host takes distances(vertices, i, j): the int64
 distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass.
+union_of_balls runs metric.breadth_first over any host's neighbors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -139,22 +139,5 @@ def wreath_truncation(max_cursor: int, max_support: int, max_value: int) -> list
 
 
 def union_of_balls(host, centers: Iterable[Hashable], radius: int, cap: int = metric.DEFAULT_BALL_CAP) -> list:
-    """Multi-source breadth-first enumeration of a union of balls."""
-    if radius < 0:
-        raise ValidationError("radius must be nonnegative")
-    seen = dict.fromkeys(centers, 0)
-    if not seen:
-        raise ValidationError("at least one center required")
-    frontier = deque(seen)
-    while frontier:
-        v = frontier.popleft()
-        d = seen[v]
-        if d == radius:
-            continue
-        for w in host.neighbors(v):
-            if w not in seen:
-                seen[w] = d + 1
-                if len(seen) > cap:
-                    raise ResourceLimitError(f"ball union exceeded cap {cap}")
-                frontier.append(w)
-    return sorted(seen, key=host.sort_key)
+    """Every vertex within radius of a center, sorted by host.sort_key."""
+    return sorted(metric.breadth_first(centers, host.neighbors, radius, cap), key=host.sort_key)

@@ -14,12 +14,13 @@ Three jobs live here:
   compression lower term never exceeds the Markov-type upper term. The
   replay takes a^t as a dense matrix power (exact in any summation order:
   every entry of a is a multiple of 1/degree, and the hosts have degree 2
-  or 4) and then works only on the pairs the chain can couple: the host
-  distances of all unordered pairs in one array pass (host.distances),
-  vectorized checks, and fsum over the terms on those pairs, each formed as
-  in the dense n x n sum, so dropping the zero terms changes no bit. Chain
-  validation checks detailed balance on the nonzeros of a. delayed_walk
-  refuses a chain whose dense matrices would not fit in physical memory.
+  or 4) and then takes each pair the chain can couple once, as i <= j: their
+  host distances in one array pass (host.distances), vectorized checks, and
+  fsum over their terms, each formed as in the dense n x n sum and doubled off
+  the diagonal. pi is uniform and a, a^t are exactly symmetric (checked), so
+  (j, i) repeats the float of (i, j), and no bit changes. Chain validation
+  checks detailed balance on the nonzeros of a. delayed_walk refuses a chain
+  whose dense matrices would not fit in physical memory.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -124,8 +125,8 @@ def markov_type_sides(
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError("p must be finite and >= 1")
     chain.validate()
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -368,8 +369,8 @@ def delayed_walk_replay(
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValidationError("p must be finite and >= 1")
     fattening = folner_fatten(host, core, t, cap)
     spec = SubsetWalkSpec(host, fattening.fattened)
     chain = delayed_walk(spec)
@@ -386,12 +387,11 @@ def delayed_walk_replay(
         raise ValidationError("embedding produced nonfinite coordinates")
 
     at = np.linalg.matrix_power(chain.a, t) if t else np.eye(n)
-    # every pair the chain can couple, row-major; the support is symmetric
-    pairs_i, pairs_j = np.nonzero((chain.a > 0) | (at > 0))
-
-    # one host distance and one embedding gap per unordered pair i <= j
-    upper_half = pairs_i <= pairs_j
-    ui, uj = pairs_i[upper_half], pairs_j[upper_half]
+    # every pair the chain can couple, once, as i <= j in row-major order
+    ui, uj = np.nonzero(np.triu((chain.a > 0) | (at > 0)))
+    # pi is uniform, so the sums below take (j, i) as a second copy of (i, j)
+    if not (np.array_equal(at[ui, uj], at[uj, ui]) and np.array_equal(chain.a[ui, uj], chain.a[uj, ui])):
+        raise InvariantViolation("a or a^t is not exactly symmetric on the coupled pairs")
     host_dist = host.distances(vertices, ui, uj)
     diff = points[ui] - points[uj]
     emb_dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
@@ -419,8 +419,6 @@ def delayed_walk_replay(
             raise ValidationError(f"rho is not nondecreasing at argument {d}")
         previous = value
         rho_at.append(value)
-    # a violation is symmetric, and (i, j) with i <= j precedes (j, i) in
-    # row-major order, so the first unordered offender is the first ordered one
     level = np.searchsorted(attained, host_dist)
     rho_pair = np.asarray(rho_at)[level]
     exceeded = np.flatnonzero(rho_pair > emb_dist + tol)
@@ -431,23 +429,21 @@ def delayed_walk_replay(
             f"rho({int(host_dist[k])}) = {rho_at[level[k]]} > {float(emb_dist[k])}"
         )
 
-    # spread the unordered values to both orders of every coupled pair
-    unordered = np.searchsorted(
-        ui * n + uj, np.minimum(pairs_i, pairs_j) * n + np.maximum(pairs_i, pairs_j)
-    )
-    rho_p = np.asarray([r**p for r in rho_at])[level][unordered]
+    rho_p = np.asarray([r**p for r in rho_at])[level]
 
     # each term is formed as (pi_i * w_ij) * x_ij, exactly as a dense n x n sum
-    # would; the pairs left out contribute exact zeros, which fsum ignores
+    # would, then weighted by the ordered pairs it stands for: (i, j) and (j, i)
+    # give equal floats, and x + x == 2x leaves every fsum as it was. The pairs
+    # left out contribute exact zeros, which fsum ignores
     pi = chain.pi
-    pi_at = pi[pairs_i] * at[pairs_i, pairs_j]
-    full_avg = math.fsum((pi_at * rho_p).tolist())
-    in_core = np.zeros(n, dtype=bool)
-    in_core[core_indices] = True
-    core_pairs = in_core[pairs_i]
-    restricted_avg = math.fsum(
-        (at[pairs_i[core_pairs], pairs_j[core_pairs]] * rho_p[core_pairs]).tolist()
-    ) / n
+    pi_at = pi[ui] * at[ui, uj]
+    off_diagonal = ui != uj
+    orders = 1 + off_diagonal
+    full_avg = math.fsum((pi_at * rho_p * orders).tolist())
+    in_core = np.zeros(n, dtype=np.int64)
+    in_core[core_indices] = 1
+    core_orders = in_core[ui] + in_core[uj] * off_diagonal  # ordered pairs starting in the core
+    restricted_avg = math.fsum((at[ui, uj] * rho_p * core_orders).tolist()) / n
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
     # so the start does not matter
@@ -467,10 +463,9 @@ def delayed_walk_replay(
     chain_lower = len(core_indices) / n * free_term
 
     if t:
-        emb_p = (emb_dist**p)[unordered]
-        markov_lhs = math.fsum((pi_at * emb_p).tolist())
-        pi_a = pi[pairs_i] * chain.a[pairs_i, pairs_j]
-        markov_rhs = t * math.fsum((pi_a * emb_p).tolist())
+        emb_p = emb_dist**p
+        markov_lhs = math.fsum((pi_at * emb_p * orders).tolist())
+        markov_rhs = t * math.fsum((pi[ui] * chain.a[ui, uj] * emb_p * orders).tolist())
     else:
         markov_lhs = markov_rhs = 0.0
     upper = float(t)  # K^p t with K = 1
@@ -516,7 +511,7 @@ def alpha_upper(beta) -> Fraction:
 
     Exact: min(1 / (2 beta), 1). Accepts int, float, or Fraction.
     """
-    b = Fraction(beta)
+    b = Fraction(beta) if math.isfinite(beta) else math.nan  # nan fails the range check
     if not 0 < b <= 1:
         raise ValidationError("beta must lie in (0, 1]")
     return min(Fraction(1, 2) / b, Fraction(1))

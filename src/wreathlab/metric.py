@@ -13,18 +13,20 @@ When the support already lies between 0 and k both sweeps degenerate to |k|.
 Correctness is gated on the breadth-first oracle over the Cayley graph; the
 two agree exactly on the whole radius-8 ball.
 
-The array form takes many pairs in one numpy pass. lamp_table packs elements
-into int64 rows over a fixed window of positions plus a cursor array, and
-distances reads each pair (a, b) of rows off a^-1 b = (shift by -k_a of
-f_b - f_a, k_b - k_a) in int64 arithmetic. The scalar distance stays the
-reference for it and is what the tests compare it against.
+The array form takes many pairs in one numpy pass. distances reads each pair
+(a, b) of rows of any int64 table in lamp_table's layout (lamp values over a
+fixed window, cursors in its columns) off a^-1 b = (shift by -k_a of f_b - f_a,
+k_b - k_a). lamp_table packs elements into such a table; the walk builds its
+own. The scalar distance stays the reference the tests compare it against.
+ball and hosts.union_of_balls share one breadth_first search; distance_bfs,
+the oracle, keeps its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "lamp_table",
     "distances",
     "distance_bfs",
+    "breadth_first",
     "ball",
     "neighbors",
     "lower_bound_profile",
@@ -64,23 +67,13 @@ class MetricWitness:
     direction: str  # "left-first" | "right-first" | "degenerate"
 
 
-def _travel_parts(support: tuple[int, ...], k: int) -> tuple[int, int, int, int]:
-    if support:
-        lo = support[0]
-        hi = support[-1]
-        left = min(lo, 0, k)
-        right = max(hi, 0, k)
-    else:
-        left = min(0, k)
-        right = max(0, k)
-    return left, right, (0 - left) + (right - left) + (right - k), (right - 0) + (right - left) + (k - left)
-
-
 def witness_for(lamps: LampConfig, cursor: int) -> MetricWitness:
     """Witness for the distance from the identity to (lamps, cursor)."""
     lamp_cost = sum(abs(v) for _, v in lamps.entries)
-    support = lamps.support()
-    left, right, left_first, right_first = _travel_parts(support, cursor)
+    ends = (0, cursor, *lamps.support())
+    left, right = min(ends), max(ends)
+    left_first = (0 - left) + (right - left) + (right - cursor)
+    right_first = (right - 0) + (right - left) + (cursor - left)
     travel = min(left_first, right_first)
     segment_lo, segment_hi = min(0, cursor), max(0, cursor)
     if left == segment_lo and right == segment_hi:
@@ -122,8 +115,8 @@ def lamp_table(elements: Sequence[GroupElement]) -> tuple[np.ndarray, np.ndarray
 def distances(lamps: np.ndarray, cursors: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Exact distances from row i[m] to row j[m] of a lamp table, for every m.
 
-    The table is the one lamp_table builds: int64 lamp values over a window,
-    and int64 cursors measured in the window's columns. Equal to
+    The table may be any in lamp_table's layout: int64 lamp values over a
+    window, and int64 cursors measured in the window's columns. Equal to
     distance(a, b).total on every pair, in int64 throughout.
     """
     diff = lamps[j] - lamps[i]
@@ -137,7 +130,7 @@ def distances(lamps: np.ndarray, cursors: np.ndarray, i: np.ndarray, j: np.ndarr
     last = np.where(nonempty, lit.shape[1] - 1 - lit[:, ::-1].argmax(axis=1) - k_a, 0)
     left = np.minimum(np.minimum(first, 0), k)
     right = np.maximum(np.maximum(last, 0), k)
-    # the better sweep of _travel_parts: both cost 2 (right - left) -/+ k
+    # the better sweep of witness_for: both cost 2 (right - left) -/+ k
     return lamp_cost + 2 * (right - left) - np.abs(k)
 
 
@@ -198,24 +191,39 @@ class BallTable:
         return sizes
 
 
-def ball(radius: int, cap: int = DEFAULT_BALL_CAP) -> BallTable:
-    """Enumerate the radius ball around the identity by breadth-first search."""
+def breadth_first(centers: Iterable, neighbors: Callable[[object], Iterable], radius: int, cap: int) -> dict:
+    """Multi-source breadth-first search: vertex -> distance to the nearest
+    center for every vertex within radius, in the order reached; more than cap
+    vertices raise ResourceLimitError."""
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    distances = {IDENTITY: 0}
-    frontier = deque([IDENTITY])
+    found = dict.fromkeys(centers, 0)
+    if not found:
+        raise ValidationError("at least one center required")
+    frontier = deque(found)
     while frontier:
-        g = frontier.popleft()
-        d = distances[g]
+        v = frontier.popleft()
+        d = found[v]
         if d == radius:
             continue
-        for h in neighbors(g):
-            if h not in distances:
-                distances[h] = d + 1
-                if len(distances) > cap:
-                    raise ResourceLimitError(f"ball enumeration exceeded cap {cap}")
-                frontier.append(h)
-    return BallTable(radius, distances)
+        for w in neighbors(v):
+            if w not in found:
+                found[w] = d + 1
+                if len(found) > cap:
+                    raise ResourceLimitError(f"breadth-first search exceeded cap {cap}")
+                frontier.append(w)
+    return found
+
+
+def ball(radius: int, cap: int = DEFAULT_BALL_CAP) -> BallTable:
+    """Enumerate the radius ball around the identity by breadth-first search.
+
+    The graph is 4-regular, so |B_R| <= 1 + 4 (3^R - 1) / 2 = 2 3^R - 1 (exact
+    up to R = 3); a radius whose bound exceeds cap is refused before any search.
+    """
+    if 2 * 3**radius - 1 > cap:
+        raise ResourceLimitError(f"the radius-{radius} ball may exceed the cap {cap}")
+    return BallTable(radius, breadth_first([IDENTITY], neighbors, radius, cap))
 
 
 def lower_bound_profile(g: GroupElement) -> tuple[int, int, int]:

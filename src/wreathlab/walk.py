@@ -3,10 +3,11 @@
 Each trial draws its own counter-based stream (Philox keyed by seed and trial
 index), so results are independent of evaluation order and reproducible
 bit-for-bit. Both walks are vectorized per trial. The wreath walk takes the
-cursor as a cumulative sum of the step codes and adds the lamp steps between
-consecutive requested times into one lamp table; at each requested time it
-evaluates the exact word metric, keeping the lamp mass so each displacement
-splits exactly into lamp mass plus cursor travel.
+cursor as a cumulative sum of the step codes and keeps the lamps at each
+requested time as one row of a lamp table, the lamp steps since the previous
+time added in. One metric.distances call per trial reads every displacement
+off that table, and each row's lamp mass splits it exactly into lamp mass plus
+cursor travel.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import metric
 from .errors import EstimationError, ValidationError
-from .metric import _travel_parts
 
 __all__ = [
     "WalkSample",
@@ -112,31 +113,28 @@ def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarr
     """Displacements and their lamp masses at the given times.
 
     cursor[s] is the cursor after s steps, and lamp step s + 1 (code 0 adds
-    one, code 1 takes one away) acts at cursor[s]. The lamp table is indexed
-    by cursor position minus the cursor minimum; between two sampled times it
-    takes a bincount of the lamp steps in that interval.
+    one, code 1 takes one away) acts at cursor[s]. Row 0 of the lamp table is
+    the identity and row c + 1 the lamps at times[c], in metric.lamp_table's
+    layout (columns are cursor positions minus the cursor minimum); each row
+    adds a bincount of the lamp steps since the previous one.
     """
     codes = _trial_rng(seed, trial).integers(0, 4, size=times[-1])
     cursor = np.zeros(len(codes) + 1, dtype=np.int64)
     np.cumsum((codes == 2).astype(np.int64) - (codes == 3), out=cursor[1:])
     lo = int(cursor.min())
-    lamps = np.zeros(int(cursor.max()) - lo + 1, dtype=np.int64)
+    width = int(cursor.max()) - lo + 1
+    lamps = np.zeros((len(times) + 1, width), dtype=np.int64)
     up, down = (np.flatnonzero(codes == code) for code in (0, 1))
     up_at, down_at = cursor[up] - lo, cursor[down] - lo
     up_end, down_end = np.searchsorted(up, times), np.searchsorted(down, times)
-    out = np.zeros(len(times), dtype=np.int64)
-    mass = np.zeros(len(times), dtype=np.int64)
     u = d = 0
-    for column, t in enumerate(times):
-        lamps += np.bincount(up_at[u : up_end[column]], minlength=len(lamps))
-        lamps -= np.bincount(down_at[d : down_end[column]], minlength=len(lamps))
-        u, d = up_end[column], down_end[column]
-        support = np.flatnonzero(lamps)
-        ends = (int(support[0]) + lo, int(support[-1]) + lo) if len(support) else ()
-        _, _, left_first, right_first = _travel_parts(ends, int(cursor[t]))
-        mass[column] = np.abs(lamps).sum()
-        out[column] = mass[column] + min(left_first, right_first)
-    return out, mass
+    for column, (u_end, d_end) in enumerate(zip(up_end, down_end)):
+        lamps[column + 1] = lamps[column] + np.bincount(up_at[u:u_end], minlength=width)
+        lamps[column + 1] -= np.bincount(down_at[d:d_end], minlength=width)
+        u, d = u_end, d_end
+    cursors = np.concatenate(([0], cursor[np.asarray(times)])) - lo
+    rows = np.arange(1, len(times) + 1)
+    return metric.distances(lamps, cursors, np.zeros_like(rows), rows), np.abs(lamps[1:]).sum(axis=1)
 
 
 def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSample:

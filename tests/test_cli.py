@@ -78,6 +78,12 @@ class TestBoundCommand:
         code, _, _ = run_cli(capsys, "bound")
         assert code == 1
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_is_an_error(self, capsys, beta):
+        code, _, err = run_cli(capsys, "bound", "--beta", beta)
+        assert code == 1
+        assert err.startswith("error: ")
+
 
 class TestWalkCommand:
     def test_artifacts_and_manifest(self, capsys, tmp_path):
@@ -274,6 +280,15 @@ class TestMarkovCommands:
         assert slack["markov_lhs <= upper"] == payload["upper"] - payload["markovLhs"]
         assert slack["restricted_avg <= full_avg"] == payload["fullAvg"] - payload["restrictedAvg"]
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_replay_rejects_non_finite_p(self, capsys, p):
+        code, out, err = run_cli(
+            capsys, "markov", "replay", "--host", "z", "--F", "0:5", "--t", "2", "--p", p
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_delayed_over_physical_memory_exits_3(self, capsys):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
@@ -338,6 +353,25 @@ class TestEmbedCommands:
         assert code == 1
         assert err.startswith("error: ")
         assert not os.path.exists(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["norms"], ["pair", "--a", "0; 0:1", "--b", "0;"], ["scan", "--sampler", "ball:2", "--out", "s"]],
+    )
+    def test_nan_eps_is_an_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "embed", *argv, "--eps", "nan")
+        assert code == 1
+        assert err.startswith("error: eps")
+
+    def test_scan_over_the_ball_cap_exits_3_at_once(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "embed", "scan", "--sampler", "ball:40", "--out", str(tmp_path / "s")
+        )
+        assert code == 3
+        assert "cap" in err
+        assert time.perf_counter() - start < 5.0
 
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "embed", "norms", "--alpha", "0.75")

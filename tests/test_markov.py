@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wreathlab import hosts, markov
+from wreathlab import hosts, markov, metric
 from wreathlab.errors import InvariantViolation, ValidationError
+from wreathlab.group import IDENTITY, encode
 
 
 def two_state_flip():
@@ -117,8 +118,9 @@ class TestTypeInequality:
         points = np.array([[0.0], [1.0]])
         with pytest.raises(ValidationError):
             markov.markov_type_sides(chain, points, 2.0, 0)
-        with pytest.raises(ValidationError):
-            markov.markov_type_sides(chain, points, 0.5, 1)
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                markov.markov_type_sides(chain, points, p, 1)
         with pytest.raises(ValidationError):
             markov.markov_type_sides(chain, np.zeros((3, 1)), 2.0, 1)
 
@@ -217,6 +219,12 @@ class TestFattening:
         assert report.added == 2 * t
         assert report.ratio == pytest.approx(2 * t / (2 * n + 1))
 
+    @pytest.mark.parametrize("radius", range(6))
+    def test_union_of_one_ball_is_the_ball(self, radius):
+        # hosts.union_of_balls and metric.ball share one breadth-first search
+        fattened = hosts.union_of_balls(hosts.WreathCayley(), [IDENTITY], radius)
+        assert fattened == sorted(metric.ball(radius), key=encode)
+
     def test_core_is_contained(self):
         host = hosts.host_by_name("z2")
         core = hosts.box(-2, 2, -2, 2)
@@ -287,6 +295,21 @@ class TestReplay:
         with pytest.raises(ValidationError):
             markov.delayed_walk_replay(
                 host, hosts.interval(-3, 3), 1, lambda v: (float(v),), lambda s: 2.0 * s
+            )
+
+    def test_asymmetric_power_is_an_invariant_violation(self, monkeypatch):
+        # the sums take each coupled pair once, which needs a^t exactly symmetric
+        power = np.linalg.matrix_power
+
+        def skewed(a, t):
+            at = power(a, t)
+            at[0, 1] += 2.0**-40
+            return at
+
+        monkeypatch.setattr(np.linalg, "matrix_power", skewed)
+        with pytest.raises(InvariantViolation, match="symmetric"):
+            markov.delayed_walk_replay(
+                hosts.host_by_name("z"), hosts.interval(0, 5), 2, lambda v: (float(v),), lambda s: s
             )
 
 
@@ -395,10 +418,9 @@ class TestBoundCalculator:
         assert markov.alpha_upper(Fraction(1, 4)) == 1
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            markov.alpha_upper(0)
-        with pytest.raises(ValidationError):
-            markov.alpha_upper(Fraction(3, 2))
+        for beta in (0, Fraction(3, 2), math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                markov.alpha_upper(beta)
 
     def test_iterated_table(self):
         table = markov.iterated_wreath_table(6)

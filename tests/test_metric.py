@@ -152,6 +152,18 @@ class TestBall:
         with pytest.raises(ResourceLimitError):
             metric.ball(8, cap=100)
 
+    def test_cap_admits_the_exact_bound(self):
+        # |B_3| = 53 = 2 * 3^3 - 1: the 4-regular bound is exact up to radius 3
+        assert len(metric.ball(3, cap=53)) == 53
+
+    def test_cap_refused_before_any_search(self, monkeypatch):
+        def no_search(g):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(metric, "neighbors", no_search)
+        with pytest.raises(ResourceLimitError):
+            metric.ball(3, cap=52)
+
 
 class TestProfile:
     def test_identity(self):
