@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__, embedding, hosts, markov, metric, walk
 from .errors import (
@@ -32,18 +32,19 @@ from .errors import (
 )
 from .group import GroupElement, element_from_text
 
-DEFAULTS = {
-    "seed": 7,
-    "trials": 2000,
-    "tmax": 16384,
-    "alpha": 0.45,
-    "eps": 1e-6,
-    "count": 200,
-    "chains": 500,
-    "max_states": 10,
-    "p": 2.0,
-    "t": 2,
-    "out": "./out",
+# name -> (type, default) of each option that a flag or --config may set
+OPTIONS = {
+    "seed": (int, 7),
+    "trials": (int, 2000),
+    "tmax": (int, 16384),
+    "alpha": (float, 0.45),
+    "eps": (float, 1e-6),
+    "count": (int, 200),
+    "chains": (int, 500),
+    "max_states": (int, 10),
+    "p": (float, 2.0),
+    "t": (int, 2),
+    "out": (str, "./out"),
 }
 
 
@@ -72,10 +73,11 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
     return out
 
 
-def _resolve(ns, config: dict[str, str], name: str, cast: Callable):
-    flag = getattr(ns, name, None)
+def _resolve(ns, config: dict[str, str], name: str):
+    flag = getattr(ns, name)
     if flag is not None:
         return flag
+    cast, default = OPTIONS[name]
     if name in config:
         try:
             return cast(config[name])
@@ -88,7 +90,7 @@ def _resolve(ns, config: dict[str, str], name: str, cast: Callable):
                 return int(env)
             except ValueError:
                 raise ValidationError("WREATH_SEED must be an integer") from None
-    return DEFAULTS.get(name)
+    return default
 
 
 def _float_cell(x: float) -> str:
@@ -170,7 +172,7 @@ def _print_json(payload: dict) -> None:
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_metric(ns, config) -> int:
+def _cmd_metric(ns) -> int:
     a = element_from_text(ns.a)
     b = element_from_text(ns.b)
     witness = metric.distance(a, b)
@@ -212,12 +214,8 @@ def _calibrated_tail(sample: walk.WalkSample, beta: float) -> tuple[int, float, 
     return reference, c, walk.estimate_tail(sample, c, beta)
 
 
-def _cmd_walk(ns, config) -> int:
-    group = ns.group
-    seed = _resolve(ns, config, "seed", int)
-    trials = _resolve(ns, config, "trials", int)
-    tmax = _resolve(ns, config, "tmax", int)
-    out_dir = _resolve(ns, config, "out", str)
+def _cmd_walk(ns) -> int:
+    group, seed, trials, tmax = ns.group, ns.seed, ns.trials, ns.tmax
     if ns.times:
         try:
             times = tuple(int(tok) for tok in ns.times.split(","))
@@ -226,7 +224,7 @@ def _cmd_walk(ns, config) -> int:
     else:
         times = _default_times(tmax)
     snapshot = {"group": group, "trials": trials, "tmax": tmax, "times": list(times)}
-    sink = _OutputSink(out_dir, "walk", snapshot, seed)
+    sink = _OutputSink(ns.out, "walk", snapshot, seed)
     sample = walk.simulate(group, times, trials, seed)
     fit = walk.estimate_beta(sample)
     fit_median = walk.estimate_beta(sample, statistic="median")
@@ -261,12 +259,9 @@ def _cmd_walk(ns, config) -> int:
     return 0
 
 
-def _cmd_markov_verify(ns, config) -> int:
-    seed = _resolve(ns, config, "seed", int)
-    chains = _resolve(ns, config, "chains", int)
-    max_states = _resolve(ns, config, "max_states", int)
+def _cmd_markov_verify(ns) -> int:
     tmax = ns.tmax if ns.tmax is not None else 64
-    report = markov.markov_type_campaign(chains, max_states, tmax, seed)
+    report = markov.markov_type_campaign(ns.chains, ns.max_states, tmax, ns.seed)
     _print_json(report)
     if report["maxViolation"] > report["tolerance"]:
         raise InvariantViolation(
@@ -295,7 +290,7 @@ def _subset_for(host_name: str, spec: str):
     raise ValidationError(f"unknown host {host_name!r}")
 
 
-def _cmd_markov_delayed(ns, config) -> int:
+def _cmd_markov_delayed(ns) -> int:
     host, subset = _subset_for(ns.host, ns.subset)
     chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(subset)))
     chain.validate()
@@ -321,9 +316,7 @@ def _wreath_demo_embedding(radius: int):
     return emb
 
 
-def _cmd_markov_replay(ns, config) -> int:
-    t = _resolve(ns, config, "t", int)
-    p = _resolve(ns, config, "p", float)
+def _cmd_markov_replay(ns) -> int:
     host, core = _subset_for(ns.host, ns.F)
     if ns.host == "z":
         emb = lambda v: (float(v),)
@@ -333,9 +326,9 @@ def _cmd_markov_replay(ns, config) -> int:
         rho = lambda s: s / math.sqrt(2.0)  # L1 arguments, L2 gaps
     else:
         span = max(abs(v) for g in core for v in (g.cursor, *g.lamps.support())) if core else 0
-        emb = _wreath_demo_embedding(span + t)
+        emb = _wreath_demo_embedding(span + ns.t)
         rho = None  # empirical modulus of the demo embedding
-    report = markov.delayed_walk_replay(host, core, t, emb, rho, p=p)
+    report = markov.delayed_walk_replay(host, core, ns.t, emb, rho, p=ns.p)
     payload = {
         "host": ns.host,
         "coreSize": report.core_size,
@@ -357,37 +350,33 @@ def _cmd_markov_replay(ns, config) -> int:
     return 0
 
 
-def _cmd_embed_norms(ns, config) -> int:
-    alpha = _resolve(ns, config, "alpha", float)
-    eps = _resolve(ns, config, "eps", float)
+def _cmd_embed_norms(ns) -> int:
     from .group import canonical_generators, generator_names
 
     per = {}
     for name, g in zip(generator_names(), canonical_generators()):
-        value, bound = embedding.embedding_norm(g, alpha, eps)
+        value, bound = embedding.embedding_norm(g, ns.alpha, ns.eps)
         per[name] = {"norm": value, "errorBound": bound}
-    lipschitz = embedding.lipschitz_audit(alpha, max(eps, embedding.EPS_FLOOR))
+    lipschitz = max(entry["norm"] for entry in per.values())  # as embedding.lipschitz_audit
     _print_json(
         {
-            "alpha": alpha,
+            "alpha": ns.alpha,
             "generators": per,
             "lipschitz": lipschitz,
-            "auditConstant": lipschitz * lipschitz * (1 - 2 * alpha),
+            "auditConstant": lipschitz * lipschitz * (1 - 2 * ns.alpha),
         }
     )
     return 0
 
 
-def _cmd_embed_pair(ns, config) -> int:
-    alpha = _resolve(ns, config, "alpha", float)
-    eps = _resolve(ns, config, "eps", float)
+def _cmd_embed_pair(ns) -> int:
     a = element_from_text(ns.a)
     b = element_from_text(ns.b)
-    value, bound = embedding.embedding_distance(a, b, alpha, eps)
+    value, bound = embedding.embedding_distance(a, b, ns.alpha, ns.eps)
     witness = metric.distance(a, b)
     _print_json(
         {
-            "alpha": alpha,
+            "alpha": ns.alpha,
             "distance": witness.total,
             "norm": value,
             "errorBound": bound,
@@ -396,37 +385,37 @@ def _cmd_embed_pair(ns, config) -> int:
     return 0
 
 
-def _sampler_from_spec(spec: str, alpha: float):
+def _scan_elements(spec: str, alpha: float, count: int, seed: int) -> list[GroupElement]:
+    """The first count elements of the sampler spec, building no more."""
     head, _, arg = spec.partition(":")
     if head == "random":
-        return embedding.random_element_sampler()
+        return embedding.random_elements(count, seed)
     try:
         if head == "ball":
             family = embedding.ball_elements(int(arg or "4"))
         elif head == "cursor":
-            family = embedding.pure_cursor_family(int(arg or "100"))
+            family = embedding.pure_cursor_family(min(int(arg or "100"), count))
         elif head == "lamp":
             first, _, second = arg.partition(":")
-            family = embedding.pure_lamp_family(int(first or "3"), int(second or "50"))
+            family = embedding.pure_lamp_family(int(first or "3"), min(int(second or "50"), count))
         elif head == "balanced":
-            family = embedding.balanced_family(alpha, float(arg or "1"), 200)
+            prefactor = float(arg or "1")
+            family = embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
         else:
             raise ValidationError(f"unknown sampler {spec!r}")
     except ValueError:
         raise ValidationError(f"sampler {spec!r} has a malformed number") from None
-    return lambda rng, count: family[:count]
+    return family[:count]
 
 
-def _cmd_embed_scan(ns, config) -> int:
-    alpha = _resolve(ns, config, "alpha", float)
-    eps = _resolve(ns, config, "eps", float)
-    seed = _resolve(ns, config, "seed", int)
-    count = _resolve(ns, config, "count", int)
-    out_dir = _resolve(ns, config, "out", str)
+def _cmd_embed_scan(ns) -> int:
+    alpha, eps, count = ns.alpha, ns.eps, ns.count
     snapshot = {"alpha": alpha, "eps": eps, "count": count, "sampler": ns.sampler}
-    sink = _OutputSink(out_dir, "embed scan", snapshot, seed)
-    sampler = _sampler_from_spec(ns.sampler, alpha)
-    report = embedding.compression_scan(alpha, sampler, count, eps, seed)
+    sink = _OutputSink(ns.out, "embed scan", snapshot, ns.seed)
+    elements = _scan_elements(ns.sampler, alpha, count, ns.seed)
+    if count < 10:
+        raise ValidationError("count must be >= 10")
+    report = embedding.compression_scan(alpha, elements, eps)
     summary = {
         "alpha": alpha,
         "count": len(report.observations),
@@ -442,7 +431,7 @@ def _cmd_embed_scan(ns, config) -> int:
     return 0
 
 
-def _cmd_bound(ns, config) -> int:
+def _cmd_bound(ns) -> int:
     if ns.beta is None and ns.iterated_k is None:
         raise ValidationError("bound requires --beta or --iterated-k")
     rows = []
@@ -461,15 +450,10 @@ def _cmd_bound(ns, config) -> int:
     return 0
 
 
-def _cmd_pipeline(ns, config) -> int:
-    alpha = _resolve(ns, config, "alpha", float)
-    eps = _resolve(ns, config, "eps", float)
-    seed = _resolve(ns, config, "seed", int)
-    trials = _resolve(ns, config, "trials", int)
-    tmax = _resolve(ns, config, "tmax", int)
-    out_dir = _resolve(ns, config, "out", str)
+def _cmd_pipeline(ns) -> int:
+    alpha, eps, seed, trials, tmax = ns.alpha, ns.eps, ns.seed, ns.trials, ns.tmax
     snapshot = {"alpha": alpha, "eps": eps, "trials": trials, "tmax": tmax}
-    sink = _OutputSink(out_dir, "pipeline", snapshot, seed)
+    sink = _OutputSink(ns.out, "pipeline", snapshot, seed)
 
     times = _default_times(tmax)
     sample = walk.simulate("zwrz", times, trials, seed)
@@ -481,8 +465,8 @@ def _cmd_pipeline(ns, config) -> int:
         raise InvariantViolation("empirical tail probability vanished on the tested grid")
 
     scan_elements = embedding.ball_elements(6)
-    for prefactor in (1, 2, 4, 8, 16):
-        scan_elements.extend(embedding.balanced_family(alpha, prefactor, 200))
+    for prefactor in embedding.BALANCED_PREFACTORS:
+        scan_elements += embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
     observations = embedding.norm_observations(scan_elements, alpha, eps)
     rho_hat = markov.empirical_modulus(
         [d for d, _, _ in observations], [v for _, v, _ in observations]
@@ -526,6 +510,14 @@ def _cmd_pipeline(ns, config) -> int:
 # ------------------------------------------------------------------- parsing
 
 
+def _add_options(parser: _Parser, *names: str) -> None:
+    """Flags for table options; run resolves each before the command runs."""
+    for name in names:
+        cast = OPTIONS[name][0]
+        parser.add_argument(f"--{name.replace('_', '-')}", type=None if cast is str else cast)
+    parser.set_defaults(options=(parser.get_default("options") or ()) + names)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="wreathlab", description=__doc__)
     parser.add_argument("--config", help="plain key = value parameter file")
@@ -540,21 +532,18 @@ def build_parser() -> _Parser:
 
     p_walk = sub.add_parser("walk", help="displacement samples and exponent fit")
     p_walk.add_argument("--group", choices=walk.GROUPS, required=True)
-    p_walk.add_argument("--tmax", type=int)
-    p_walk.add_argument("--trials", type=int)
-    p_walk.add_argument("--seed", type=int)
+    _add_options(p_walk, "tmax", "trials", "seed")
     p_walk.add_argument("--times", help="comma-separated override of the time grid")
-    p_walk.add_argument("--out")
+    _add_options(p_walk, "out")
     p_walk.set_defaults(func=_cmd_walk)
 
     p_markov = sub.add_parser("markov", help="chain construction and verification")
     markov_sub = p_markov.add_subparsers(dest="markov_command", parser_class=_Parser)
 
     p_verify = markov_sub.add_parser("verify", help="random reversible-chain campaign")
-    p_verify.add_argument("--chains", type=int)
-    p_verify.add_argument("--max-states", type=int, dest="max_states")
-    p_verify.add_argument("--tmax", type=int)
-    p_verify.add_argument("--seed", type=int)
+    _add_options(p_verify, "chains", "max_states")
+    p_verify.add_argument("--tmax", type=int)  # its own default, not read from --config
+    _add_options(p_verify, "seed")
     p_verify.set_defaults(func=_cmd_markov_verify)
 
     p_delayed = markov_sub.add_parser("delayed", help="build and validate a subset walk")
@@ -565,36 +554,30 @@ def build_parser() -> _Parser:
     p_replay = markov_sub.add_parser("replay", help="replay the sandwich on one instance")
     p_replay.add_argument("--host", choices=("z", "z2", "zwrz-trunc"), required=True)
     p_replay.add_argument("--F", required=True, help="core-set spec, same format as --subset")
-    p_replay.add_argument("--t", type=int)
-    p_replay.add_argument("--p", type=float)
+    _add_options(p_replay, "t", "p")
     p_replay.set_defaults(func=_cmd_markov_replay)
 
     p_embed = sub.add_parser("embed", help="embedding norms, pairs, and scans")
     embed_sub = p_embed.add_subparsers(dest="embed_command", parser_class=_Parser)
 
     p_norms = embed_sub.add_parser("norms", help="generator norm audit")
-    p_norms.add_argument("--alpha", type=float)
-    p_norms.add_argument("--eps", type=float)
+    _add_options(p_norms, "alpha", "eps")
     p_norms.set_defaults(func=_cmd_embed_norms)
 
     p_pair = embed_sub.add_parser("pair", help="certified distance between two elements")
     p_pair.add_argument("--a", required=True)
     p_pair.add_argument("--b", required=True)
-    p_pair.add_argument("--alpha", type=float)
-    p_pair.add_argument("--eps", type=float)
+    _add_options(p_pair, "alpha", "eps")
     p_pair.set_defaults(func=_cmd_embed_pair)
 
     p_scan = embed_sub.add_parser("scan", help="distance-vs-norm scan")
-    p_scan.add_argument("--alpha", type=float)
-    p_scan.add_argument("--count", type=int)
-    p_scan.add_argument("--eps", type=float)
-    p_scan.add_argument("--seed", type=int)
+    _add_options(p_scan, "alpha", "count", "eps", "seed")
     p_scan.add_argument(
         "--sampler",
         default="random",
         help="ball:R | cursor:K | lamp:SPREAD:MASS | balanced:PREFACTOR | random",
     )
-    p_scan.add_argument("--out")
+    _add_options(p_scan, "out")
     p_scan.set_defaults(func=_cmd_embed_scan)
 
     p_bound = sub.add_parser("bound", help="compression bound from a displacement exponent")
@@ -603,12 +586,7 @@ def build_parser() -> _Parser:
     p_bound.set_defaults(func=_cmd_bound)
 
     p_pipe = sub.add_parser("pipeline", help="walk + embed + bound, end to end")
-    p_pipe.add_argument("--alpha", type=float)
-    p_pipe.add_argument("--eps", type=float)
-    p_pipe.add_argument("--seed", type=int)
-    p_pipe.add_argument("--trials", type=int)
-    p_pipe.add_argument("--tmax", type=int)
-    p_pipe.add_argument("--out")
+    _add_options(p_pipe, "alpha", "eps", "seed", "trials", "tmax", "out")
     p_pipe.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -625,7 +603,9 @@ def run(argv=None) -> int:
         return 1
     try:
         config = _load_config(ns.config)
-        result = ns.func(ns, config)
+        for name in getattr(ns, "options", ()):
+            setattr(ns, name, _resolve(ns, config, name))
+        result = ns.func(ns)
         return 0 if result is None else result
     except InvariantViolation as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")

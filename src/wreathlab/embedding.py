@@ -15,15 +15,19 @@ gap) is summed in closed form as a binomial series in Hurwitz zeta values,
     sum_{m >= m0} ((m + delta)^alpha - m^alpha)^2
         = sum_{p >= 2} c_p delta^p zeta(p - 2 alpha, m0),
 
-with c_p the convolution of binomial coefficients C(alpha, j) and a rigorous
-geometric remainder once delta/m0 <= 1/4. The reported errorBound covers the
-truncation of that series; it always lands at or below the requested eps.
+with c_p the convolution of binomial coefficients C(alpha, j), built one order
+at a time, and a rigorous geometric remainder once delta/m0 <= 1/4. The series
+stops at the first order whose remainder certifies; the reported errorBound
+covers that truncation and always lands at or below the requested eps.
 
 One routine sums the window of the right half-lines; the left side is its
 mirror image n -> -n (cursors, support and differing positions negated). It
 never compares restrictions: those of a and b to [n, inf) agree exactly when
-n is past the last position where their lamps differ. embedding_image keeps
-its own loops over explicit keys, as an independent oracle for that routine.
+n is past the last position where their lamps differ. A window longer than
+metric.DEFAULT_BALL_CAP positions is refused before it is summed.
+embedding_image keeps its own loops over explicit keys, as an independent
+oracle for that routine. compression_scan fits the shape of given elements:
+a family below, the ball, or random_elements.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -63,13 +67,16 @@ __all__ = [
     "pure_lamp_family",
     "balanced_family",
     "worst_balanced_exponent",
-    "random_element_sampler",
+    "random_elements",
     "lower_shape_exponent",
 ]
 
 EPS_FLOOR = 1e-9
 BASE_MARGIN = 16
 SERIES_MAX_ORDER = 400
+# the balanced families that the worst-case fit and the pipeline scan sweep
+BALANCED_PREFACTORS = (1, 2, 4, 8, 16)
+BALANCED_MAX_DISTANCE = 200
 
 
 def _check_alpha(alpha: float) -> float:
@@ -126,14 +133,6 @@ def half_line_coefficient(lamps: LampConfig, cursor: int, key: EmbeddingKey, alp
     return float(gap) ** alpha
 
 
-def _binomial_coefficients(alpha: float, order: int) -> list[float]:
-    # b[j] = C(alpha, j) for j = 1..order, built by the downward recurrence
-    b = [alpha]
-    for j in range(1, order):
-        b.append(b[-1] * (alpha - j) / (j + 1))
-    return b
-
-
 def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[float, float]:
     """(estimate, remainder bound) for sum_{m >= m0} ((m+delta)^a - m^a)^2.
 
@@ -148,7 +147,7 @@ def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[f
     u = delta / m0
     if u > 0.25:
         raise ValidationError("window margin too small: delta/m0 must be <= 1/4")
-    b = _binomial_coefficients(alpha, SERIES_MAX_ORDER)
+    b = [alpha]  # b[j - 1] = C(alpha, j), one more per order by the downward recurrence
     log_m0 = math.log(m0)
     m0_2a = m0 ** (2 * alpha)
     terms: list[float] = []
@@ -168,6 +167,7 @@ def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[f
         )
         if remainder + slack <= tol:
             return (math.fsum(terms), remainder + slack)
+        b.append(b[-1] * (alpha - (p - 1)) / p)
     raise ResourceLimitError("tail series did not certify within the order cap")
 
 
@@ -178,12 +178,18 @@ def _half_line_sum(
 
     reach is the last lamp position of either element and last_diff the last
     position where their lamps differ (-inf when there is none), so the two
-    restrictions to [n, inf) agree exactly when n > last_diff.
+    restrictions to [n, inf) agree exactly when n > last_diff. A window longer
+    than metric.DEFAULT_BALL_CAP positions is refused before it is summed.
     """
     k_hi = max(k1, k2)
     cutoff = max(k_hi + margin, reach)
+    k_lo = min(k1, k2)
+    if cutoff - k_lo > metric.DEFAULT_BALL_CAP:
+        raise ResourceLimitError(
+            f"embedding window of {cutoff - k_lo} positions exceeds the cap {metric.DEFAULT_BALL_CAP}"
+        )
     terms: list[float] = []
-    for n in range(min(k1, k2) + 1, cutoff + 1):
+    for n in range(k_lo + 1, cutoff + 1):
         ca = float(n - k1) ** alpha if n > k1 else 0.0
         cb = float(n - k2) ** alpha if n > k2 else 0.0
         if n > last_diff:
@@ -370,14 +376,14 @@ def embedding_image(g: GroupElement, alpha: float, eps: float = 1e-6) -> Embeddi
     return EmbeddingImage(k, g.lamps, SparseHilbertVector(coeffs, tuple(tails)))
 
 
-def lipschitz_audit(alpha: float, eps: float = EPS_FLOOR) -> float:
+def lipschitz_audit(alpha: float) -> float:
     """Largest embedded norm among the four generators.
 
     By invariance this bounds the Lipschitz constant of the whole embedding.
     The lamp generators contribute exactly 1; the cursor generators carry the
     half-line series and dominate.
     """
-    values = [embedding_norm(s, alpha, eps)[0] for s in canonical_generators()]
+    values = [embedding_norm(s, alpha, EPS_FLOOR)[0] for s in canonical_generators()]
     return max(values)
 
 
@@ -443,22 +449,10 @@ def compression_report(
     return CompressionReport(alpha, tuple(observations), slope, lower_constant, lipschitz_max)
 
 
-def compression_scan(
-    alpha: float,
-    sampler: Callable[[np.random.Generator, int], Iterable[GroupElement]],
-    count: int,
-    eps: float,
-    seed: int,
-) -> CompressionReport:
-    """Sample elements, record (distance, certified norm), fit the shape."""
+def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> CompressionReport:
+    """Record (distance, certified norm) of each element, fit the shape."""
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
-    if count < 10:
-        raise ValidationError("count must be >= 10")
-    rng = np.random.default_rng(seed)
-    elements = list(sampler(rng, count))
-    if not elements:
-        raise EstimationError("sampler produced no elements")
     return compression_report(alpha, norm_observations(elements, alpha, eps))
 
 
@@ -544,20 +538,15 @@ def balanced_family(alpha: float, prefactor: float, max_distance: int) -> list[G
     return out
 
 
-def worst_balanced_exponent(
-    alpha: float,
-    prefactors: Sequence[float] = (1, 2, 4, 8, 16),
-    max_distance: int = 200,
-    eps: float = 1e-6,
-) -> tuple[float, dict[float, float]]:
+def worst_balanced_exponent(alpha: float, eps: float = 1e-6) -> tuple[float, dict[float, float]]:
     """Fitted exponent of each balanced family; the minimum is the worst case.
 
     Larger prefactors weight lamp mass over travel, which is where the
     lower-bound shape is tight; the sweep's minimum is the honest worst case.
     """
     fits: dict[float, float] = {}
-    for prefactor in prefactors:
-        family = balanced_family(alpha, prefactor, max_distance)
+    for prefactor in BALANCED_PREFACTORS:
+        family = balanced_family(alpha, prefactor, BALANCED_MAX_DISTANCE)
         observations = norm_observations(family, alpha, eps)
         slope, _ = fit_exponent(observations)
         fits[prefactor] = slope
@@ -565,23 +554,19 @@ def worst_balanced_exponent(
     return (worst, fits)
 
 
-def random_element_sampler(
-    max_cursor: int = 6, max_spread: int = 4, max_value: int = 3
-) -> Callable[[np.random.Generator, int], list[GroupElement]]:
-    """Random nonidentity elements inside a cursor/spread/value budget."""
-
-    def sample(rng: np.random.Generator, count: int) -> list[GroupElement]:
-        out = []
-        while len(out) < count:
-            cursor = int(rng.integers(-max_cursor, max_cursor + 1))
-            entries = []
-            for position in range(-max_spread, max_spread + 1):
-                if rng.random() < 0.35:
-                    value = int(rng.integers(1, max_value + 1)) * (1 if rng.random() < 0.5 else -1)
-                    entries.append((position, value))
-            g = GroupElement(LampConfig(tuple(entries)), cursor)
-            if g != IDENTITY:
-                out.append(g)
-        return out
-
-    return sample
+def random_elements(count: int, seed: int) -> list[GroupElement]:
+    """count random nonidentity elements: cursor in [-6, 6], each position of
+    [-4, 4] lit with probability 0.35, lamp values of size 1 to 3."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        cursor = int(rng.integers(-6, 7))
+        entries = []
+        for position in range(-4, 5):
+            if rng.random() < 0.35:
+                value = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
+                entries.append((position, value))
+        g = GroupElement(LampConfig(tuple(entries)), cursor)
+        if g != IDENTITY:
+            out.append(g)
+    return out

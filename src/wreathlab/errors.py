@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ValidationError (and subclasses) -> 1,
 InvariantViolation -> 2, ResourceLimitError -> 3.
 """
 
+import os
+
 
 class WreathError(Exception):
     """Base class for all package errors."""
@@ -35,3 +37,13 @@ class InvariantViolation(WreathError):
 
 class ResourceLimitError(WreathError):
     """An enumeration grew past its configured cap."""
+
+
+def check_physical_memory(needed: int, what: str) -> None:
+    """Refuse, before allocating, what needs more bytes than physical memory."""
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise ResourceLimitError(
+            f"{what} need about {needed / 2**30:.1f} GiB, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory"
+        )

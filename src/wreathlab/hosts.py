@@ -138,6 +138,7 @@ def wreath_truncation(max_cursor: int, max_support: int, max_value: int) -> list
     return out
 
 
-def union_of_balls(host, centers: Iterable[Hashable], radius: int, cap: int = metric.DEFAULT_BALL_CAP) -> list:
+def union_of_balls(host, centers: Iterable[Hashable], radius: int) -> list:
     """Every vertex within radius of a center, sorted by host.sort_key."""
-    return sorted(metric.breadth_first(centers, host.neighbors, radius, cap), key=host.sort_key)
+    found = metric.breadth_first(centers, host.neighbors, radius, metric.DEFAULT_BALL_CAP)
+    return sorted(found, key=host.sort_key)

@@ -4,7 +4,8 @@ Three jobs live here:
 
 * exact two-sided evaluation of the Markov-type inequality
   E[||f(Z_t) - f(Z_0)||^p] <= K^p t E[||f(Z_1) - f(Z_0)||^p]
-  on explicit chains (matrix powers, compensated sums);
+  on explicit chains (matrix powers, and one compensated sum, _weighted_sum,
+  for every side of every check);
 * construction of the delayed walk on a subset A of a host Cayley graph
   (step to an in-subset neighbor with probability 1/degree, stay put with the
   leftover mass) together with the ball-union fattening that makes the delayed
@@ -12,15 +13,17 @@ Three jobs live here:
   core set;
 * a replay of the resulting sandwich on concrete finite instances: the
   compression lower term never exceeds the Markov-type upper term. The
-  replay takes a^t as a dense matrix power (exact in any summation order:
-  every entry of a is a multiple of 1/degree, and the hosts have degree 2
-  or 4) and then takes each pair the chain can couple once, as i <= j: their
-  host distances in one array pass (host.distances), vectorized checks, and
-  fsum over their terms, each formed as in the dense n x n sum and doubled off
-  the diagonal. pi is uniform and a, a^t are exactly symmetric (checked), so
-  (j, i) repeats the float of (i, j), and no bit changes. Chain validation
-  checks detailed balance on the nonzeros of a. delayed_walk refuses a chain
-  whose dense matrices would not fit in physical memory.
+  replay takes a^t as a dense matrix power, the identity at t = 0 (exact in
+  any summation order: every entry of a is a multiple of 1/degree, and the
+  hosts have degree 2 or 4) and then takes each pair the chain can couple
+  once, as i <= j: their host distances in one array pass (host.distances),
+  vectorized checks, and fsum over their terms, each formed as in the dense
+  n x n sum and doubled off the diagonal. pi is uniform and a, a^t are
+  exactly symmetric (checked), so (j, i) repeats the float of (i, j), and no
+  bit changes. A p-th power of rho or of an embedding gap that is not finite
+  is refused before any sum. Chain validation checks detailed balance on the
+  nonzeros of a. delayed_walk refuses a chain whose dense matrices would not
+  fit in physical memory.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -29,7 +32,6 @@ bound on the compression exponent, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ValidationError, check_physical_memory
 
 __all__ = [
     "FiniteChain",
@@ -58,6 +60,8 @@ __all__ = [
 ]
 
 CHAIN_TOL = 1e-12
+# tolerance of the campaign's and the replay's inequality checks
+CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,11 +76,11 @@ class FiniteChain:
     def n(self) -> int:
         return len(self.states)
 
-    def validate(self, tol: float = CHAIN_TOL) -> None:
+    def validate(self) -> None:
         residuals = chain_residuals(self)
         for name, value in residuals.items():
-            if value > tol:
-                raise ValidationError(f"chain fails {name}: residual {value:.3e} > {tol:.1e}")
+            if value > CHAIN_TOL:
+                raise ValidationError(f"chain fails {name}: residual {value:.3e} > {CHAIN_TOL:.1e}")
 
 
 def chain_residuals(chain: FiniteChain) -> dict[str, float]:
@@ -108,9 +112,9 @@ def _pairwise_power(points: np.ndarray, p: float) -> np.ndarray:
     return sq ** (p / 2.0)
 
 
-def _weighted_sum(pi: np.ndarray, w: np.ndarray, dp: np.ndarray) -> float:
-    """fsum over i, j of pi_i w_ij dp_ij, each term formed as (pi_i w_ij) dp_ij."""
-    return math.fsum((pi[:, None] * w * dp).ravel().tolist())
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """fsum of weights * values, each term one float product."""
+    return math.fsum((weights * values).ravel().tolist())
 
 
 def markov_type_sides(
@@ -136,15 +140,12 @@ def markov_type_sides(
     if not np.isfinite(points).all():
         raise ValidationError("points must be finite")
     dp = _pairwise_power(points, p)
+    pi = chain.pi[:, None]
     at = np.linalg.matrix_power(chain.a, t)
-    lhs = _weighted_sum(chain.pi, at, dp)
-    rhs = t * _weighted_sum(chain.pi, chain.a, dp)
-    return (lhs, rhs)
+    return (_weighted_sum(pi * at, dp), t * _weighted_sum(pi * chain.a, dp))
 
 
-def markov_type_campaign(
-    chains: int, max_states: int, tmax: int, seed: int, tol: float = 1e-9
-) -> dict:
+def markov_type_campaign(chains: int, max_states: int, tmax: int, seed: int) -> dict:
     """Check the p = 2, K = 1 inequality on a batch of random chains.
 
     Each chain gets a random Euclidean embedding and is tested at every
@@ -168,11 +169,12 @@ def markov_type_campaign(
         dim = int(rng.integers(1, 5))
         points = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
         dp = _pairwise_power(points, 2.0)
-        rhs_step = _weighted_sum(chain.pi, chain.a, dp)
+        pi = chain.pi[:, None]
+        rhs_step = _weighted_sum(pi * chain.a, dp)
         at = np.eye(n)
         for t in range(1, tmax + 1):
             at = at @ chain.a
-            violation = _weighted_sum(chain.pi, at, dp) - t * rhs_step
+            violation = _weighted_sum(pi * at, dp) - t * rhs_step
             checks += 1
             if violation > max_violation:
                 max_violation = violation
@@ -181,9 +183,9 @@ def markov_type_campaign(
         "chains": chains,
         "checks": checks,
         "maxViolation": max_violation,
-        "tolerance": tol,
+        "tolerance": CHECK_TOL,
         "worst": worst,
-        "pass": max_violation <= tol,
+        "pass": max_violation <= CHECK_TOL,
     }
 
 
@@ -230,25 +232,10 @@ class SubsetWalkSpec:
         if len(set(self.subset)) != len(self.subset):
             raise ValidationError("subset has duplicate vertices")
 
-    @property
-    def degree(self) -> int:
-        return self.host.degree
-
 
 # n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
 # of the matrix power and the validation
 _DENSE_ARRAYS = 4
-
-
-def _check_dense_memory(n: int) -> None:
-    """Refuse a chain whose dense matrices would not fit in physical memory."""
-    needed = _DENSE_ARRAYS * 8 * n * n
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > available:
-        raise ResourceLimitError(
-            f"{n} states need about {needed / 2**30:.1f} GiB of dense n x n arrays, "
-            f"more than the {available / 2**30:.1f} GiB of physical memory"
-        )
 
 
 def delayed_walk(spec: SubsetWalkSpec) -> FiniteChain:
@@ -260,9 +247,9 @@ def delayed_walk(spec: SubsetWalkSpec) -> FiniteChain:
     """
     subset = spec.subset
     n = len(subset)
-    _check_dense_memory(n)
+    check_physical_memory(_DENSE_ARRAYS * 8 * n * n, f"the dense n x n arrays of {n} states")
     index = {v: i for i, v in enumerate(subset)}
-    deg = spec.degree
+    deg = spec.host.degree
     a = np.zeros((n, n))
     for i, v in enumerate(subset):
         inside = 0
@@ -293,7 +280,7 @@ class FatteningReport:
         return self.added / len(self.core)
 
 
-def folner_fatten(host, core: Sequence, radius: int, cap: int = 10_000_000) -> FatteningReport:
+def folner_fatten(host, core: Sequence, radius: int) -> FatteningReport:
     """Union of radius balls around the core set; always contains the core."""
     from .hosts import union_of_balls
 
@@ -302,7 +289,7 @@ def folner_fatten(host, core: Sequence, radius: int, cap: int = 10_000_000) -> F
     core_tuple = tuple(sorted(set(core), key=host.sort_key))
     if not core_tuple:
         raise ValidationError("core set must be nonempty")
-    fattened = tuple(union_of_balls(host, core_tuple, radius, cap))
+    fattened = tuple(union_of_balls(host, core_tuple, radius))
     return FatteningReport(core_tuple, fattened, radius)
 
 
@@ -356,8 +343,6 @@ def delayed_walk_replay(
     emb: Callable[[object], Sequence[float]],
     rho: Optional[Callable[[float], float]],
     p: float = 2.0,
-    tol: float = 1e-9,
-    cap: int = 10_000_000,
 ) -> ReplayReport:
     """Replay the compression-vs-Markov-type sandwich on one finite instance.
 
@@ -371,7 +356,7 @@ def delayed_walk_replay(
         raise ValidationError("t must be nonnegative")
     if not 1 <= p < math.inf:
         raise ValidationError("p must be finite and >= 1")
-    fattening = folner_fatten(host, core, t, cap)
+    fattening = folner_fatten(host, core, t)
     spec = SubsetWalkSpec(host, fattening.fattened)
     chain = delayed_walk(spec)
     chain.validate()
@@ -386,7 +371,7 @@ def delayed_walk_replay(
     if not np.isfinite(points).all():
         raise ValidationError("embedding produced nonfinite coordinates")
 
-    at = np.linalg.matrix_power(chain.a, t) if t else np.eye(n)
+    at = np.linalg.matrix_power(chain.a, t)
     # every pair the chain can couple, once, as i <= j in row-major order
     ui, uj = np.nonzero(np.triu((chain.a > 0) | (at > 0)))
     # pi is uniform, so the sums below take (j, i) as a second copy of (i, j)
@@ -398,7 +383,7 @@ def delayed_walk_replay(
 
     edges = host_dist == 1
     lipschitz_max = float(np.max(emb_dist[edges], initial=0.0))
-    stretched = np.flatnonzero(edges & (emb_dist > 1.0 + tol))
+    stretched = np.flatnonzero(edges & (emb_dist > 1.0 + CHECK_TOL))
     if stretched.size:
         k = stretched[0]
         raise ValidationError(
@@ -413,15 +398,15 @@ def delayed_walk_replay(
     previous = None
     for d in attained.tolist():
         value = float(rho(float(d)))
-        if value < -tol:
+        if value < -CHECK_TOL:
             raise ValidationError(f"rho({d}) = {value} is negative")
-        if previous is not None and value < previous - tol:
+        if previous is not None and value < previous - CHECK_TOL:
             raise ValidationError(f"rho is not nondecreasing at argument {d}")
         previous = value
         rho_at.append(value)
     level = np.searchsorted(attained, host_dist)
     rho_pair = np.asarray(rho_at)[level]
-    exceeded = np.flatnonzero(rho_pair > emb_dist + tol)
+    exceeded = np.flatnonzero(rho_pair > emb_dist + CHECK_TOL)
     if exceeded.size:
         k = exceeded[0]
         raise ValidationError(
@@ -429,21 +414,28 @@ def delayed_walk_replay(
             f"rho({int(host_dist[k])}) = {rho_at[level[k]]} > {float(emb_dist[k])}"
         )
 
-    rho_p = np.asarray([r**p for r in rho_at])[level]
+    try:
+        rho_p = np.asarray([r**p for r in rho_at])[level]
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        rho_p = np.full(level.shape, math.inf)
+    with np.errstate(over="ignore"):
+        emb_p = emb_dist**p
+    if not (np.isfinite(rho_p).all() and np.isfinite(emb_p).all()):
+        raise ValidationError(f"rho^p or the embedding gap^p is not finite at p = {p}")
 
-    # each term is formed as (pi_i * w_ij) * x_ij, exactly as a dense n x n sum
-    # would, then weighted by the ordered pairs it stands for: (i, j) and (j, i)
-    # give equal floats, and x + x == 2x leaves every fsum as it was. The pairs
+    # each term is (pi_i * w_ij) * x_ij, as in a dense n x n sum, weighted by
+    # the ordered pairs it stands for: (i, j) and (j, i) give equal floats, and
+    # doubling is exact on either factor, so every fsum is as it was. The pairs
     # left out contribute exact zeros, which fsum ignores
     pi = chain.pi
-    pi_at = pi[ui] * at[ui, uj]
     off_diagonal = ui != uj
     orders = 1 + off_diagonal
-    full_avg = math.fsum((pi_at * rho_p * orders).tolist())
+    pair_weight = pi[ui] * at[ui, uj] * orders
+    full_avg = _weighted_sum(pair_weight, rho_p)
     in_core = np.zeros(n, dtype=np.int64)
     in_core[core_indices] = 1
     core_orders = in_core[ui] + in_core[uj] * off_diagonal  # ordered pairs starting in the core
-    restricted_avg = math.fsum((at[ui, uj] * rho_p * core_orders).tolist()) / n
+    restricted_avg = _weighted_sum(at[ui, uj] * core_orders, rho_p) / n
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
     # so the start does not matter
@@ -462,15 +454,11 @@ def delayed_walk_replay(
     )
     chain_lower = len(core_indices) / n * free_term
 
-    if t:
-        emb_p = emb_dist**p
-        markov_lhs = math.fsum((pi_at * emb_p * orders).tolist())
-        markov_rhs = t * math.fsum((pi[ui] * chain.a[ui, uj] * emb_p * orders).tolist())
-    else:
-        markov_lhs = markov_rhs = 0.0
+    markov_lhs = _weighted_sum(pair_weight, emb_p)
+    markov_rhs = t * _weighted_sum(pi[ui] * chain.a[ui, uj] * orders, emb_p)
     upper = float(t)  # K^p t with K = 1
 
-    if abs(restricted_avg - chain_lower) > tol * max(1.0, abs(chain_lower)):
+    if abs(restricted_avg - chain_lower) > CHECK_TOL * max(1.0, abs(chain_lower)):
         raise InvariantViolation(
             "restricted average disagrees with the free-walk identity: "
             f"{restricted_avg} vs {chain_lower}"
@@ -485,7 +473,7 @@ def delayed_walk_replay(
         links.insert(3, ("markov_lhs <= markov_rhs", markov_lhs, markov_rhs))
         links.append(("markov_rhs <= upper", markov_rhs, upper))
     for name, lo, hi in links:
-        if lo > hi + tol * max(1.0, abs(hi)):
+        if lo > hi + CHECK_TOL * max(1.0, abs(hi)):
             raise InvariantViolation(f"sandwich link failed: {name} ({lo} > {hi})")
 
     return ReplayReport(

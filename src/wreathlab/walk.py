@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import metric
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, check_physical_memory
 
 __all__ = [
     "WalkSample",
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 GROUPS = ("z", "zwrz")
+# int64 arrays of one entry per step that a trial holds at its peak: the step
+# codes, the path and the temporaries of its cumulative sum
+_STEP_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,7 @@ def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSa
         raise ValidationError("times must be strictly increasing")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    check_physical_memory(_STEP_ARRAYS * 8 * times[-1], f"the step arrays of a {times[-1]}-step trial")
     lamp_mass = None
     if group == "z":
         rows = np.stack([_line_trial(seed, i, times) for i in range(trials)])
@@ -218,10 +222,8 @@ def estimate_tail(sample: WalkSample, c: float, beta: float) -> TailEstimate:
     return TailEstimate(c, beta, delta_hat, errors)
 
 
-def median_rule_constant(
-    sample: WalkSample, beta: float, reference_time: int = 1024, factor: float = 0.5
-) -> float:
-    """The rule-fixed tail constant: factor x median(d at the reference time) /
+def median_rule_constant(sample: WalkSample, beta: float, reference_time: int = 1024) -> float:
+    """The rule-fixed tail constant: 0.5 x median(d at the reference time) /
     reference_time^beta."""
     if reference_time not in sample.times:
         raise ValidationError(f"reference time {reference_time} not in the sample grid")
@@ -229,4 +231,4 @@ def median_rule_constant(
     med = float(np.median(sample.displacements[:, column]))
     if med <= 0:
         raise EstimationError("median displacement at the reference time is zero")
-    return factor * med / reference_time**beta
+    return 0.5 * med / reference_time**beta

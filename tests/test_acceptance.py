@@ -75,7 +75,7 @@ def test_criterion_3_delayed_walk_validity_and_replay():
             keep = rng.random(len(ball)) < 0.5
             subset = [x for x, k in zip(ball, keep) if k] or [ball[0]]
             chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(subset)))
-            chain.validate(tol=1e-12)
+            chain.validate()
             worst = max(worst, max(markov.chain_residuals(chain).values()))
             runs += 1
     wreath_chain = markov.delayed_walk(
@@ -83,7 +83,7 @@ def test_criterion_3_delayed_walk_validity_and_replay():
             hosts.host_by_name("zwrz"), tuple(hosts.wreath_truncation(2, 2, 1))
         )
     )
-    wreath_chain.validate(tol=1e-12)
+    wreath_chain.validate()
     worst = max(worst, max(markov.chain_residuals(wreath_chain).values()))
 
     replays = []

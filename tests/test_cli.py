@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, artifacts, manifests, and precedence."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -163,6 +164,19 @@ class TestWalkCommand:
         assert code == 1
         assert err.startswith("error:") and "--times" in err
 
+    @pytest.mark.parametrize("group", ["z", "zwrz"])
+    def test_walk_over_physical_memory_exits_3(self, capsys, tmp_path, group):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        steps = physical // 8 + 1  # one int64 entry per step alone is too big
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "walk", "--group", group, "--trials", "1", "--times", str(steps),
+            "--out", str(tmp_path / "w"),
+        )
+        assert code == 3
+        assert "physical memory" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_summary_contents(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "walk", "--group", "z", "--trials", "30", "--tmax", "512",
@@ -289,6 +303,15 @@ class TestMarkovCommands:
         assert err.startswith("error: ")
         assert out == ""
 
+    def test_replay_power_overflow_is_an_error(self, capsys):
+        # rho(2)^p overflows a float; the replay refuses before any sum
+        code, out, err = run_cli(
+            capsys, "markov", "replay", "--host", "z", "--F", "0:5", "--t", "2", "--p", "1e308"
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "not finite" in err
+        assert out == ""
+
     def test_delayed_over_physical_memory_exits_3(self, capsys):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
@@ -373,6 +396,39 @@ class TestEmbedCommands:
         assert "cap" in err
         assert time.perf_counter() - start < 5.0
 
+    def test_scan_count_floor(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "embed", "scan", "--count", "5", "--out", str(tmp_path / "s")
+        )
+        assert code == 1
+        assert err.startswith("error: count")
+
+    def test_scan_builds_at_most_count_elements(self, capsys, tmp_path):
+        bodies = []
+        for spec in ("cursor:1000000000000", "cursor:20"):
+            out_dir = tmp_path / spec.replace(":", "-")
+            start = time.perf_counter()
+            code, out, _ = run_cli(
+                capsys, "embed", "scan", "--sampler", spec, "--count", "20", "--out", str(out_dir)
+            )
+            assert code == 0
+            assert time.perf_counter() - start < 5.0
+            bodies.append((out, (out_dir / "compression_observations.csv").read_bytes()))
+        assert bodies[0] == bodies[1]
+        assert read_json(bodies[0][0])["count"] == 20
+
+    def test_far_cursor_window_exits_3_at_once(self, capsys, monkeypatch):
+        def no_window(*args):
+            raise AssertionError("the window sum started")
+
+        # the window sum is the one loop of the embedding module on this path
+        monkeypatch.setattr(cli.embedding, "range", no_window, raising=False)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "embed", "pair", "--a", "1000000000;", "--b", "0;")
+        assert code == 3
+        assert "cap" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "embed", "norms", "--alpha", "0.75")
         assert code == 1
@@ -392,3 +448,68 @@ class TestPipeline:
         names = sorted(os.listdir(out_dir))
         assert "pipeline_summary.json" in names
         assert "run_manifest.json" in names
+
+
+def _flag_table(parser, path=()):
+    """(subcommand path, option strings, dest, type, default, required, choices) per flag."""
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                rows += _flag_table(sub, path + (name,))
+        elif action.option_strings and action.dest != "help":
+            rows.append(
+                (" ".join(path), tuple(action.option_strings), action.dest, action.type,
+                 action.default, action.required, action.choices)
+            )
+    return rows
+
+
+class TestParserFlags:
+    HOSTS = ("z", "z2", "zwrz-trunc")
+    EXPECTED = [
+        ("", ("--config",), "config", None, None, False, None),
+        ("metric", ("--a",), "a", None, None, True, None),
+        ("metric", ("--b",), "b", None, None, True, None),
+        ("metric", ("--oracle",), "oracle", None, False, False, None),
+        ("metric", ("--max-radius",), "max_radius", int, None, False, None),
+        ("walk", ("--group",), "group", None, None, True, ("z", "zwrz")),
+        ("walk", ("--tmax",), "tmax", int, None, False, None),
+        ("walk", ("--trials",), "trials", int, None, False, None),
+        ("walk", ("--seed",), "seed", int, None, False, None),
+        ("walk", ("--times",), "times", None, None, False, None),
+        ("walk", ("--out",), "out", None, None, False, None),
+        ("markov verify", ("--chains",), "chains", int, None, False, None),
+        ("markov verify", ("--max-states",), "max_states", int, None, False, None),
+        ("markov verify", ("--tmax",), "tmax", int, None, False, None),
+        ("markov verify", ("--seed",), "seed", int, None, False, None),
+        ("markov delayed", ("--host",), "host", None, None, True, HOSTS),
+        ("markov delayed", ("--subset",), "subset", None, None, True, None),
+        ("markov replay", ("--host",), "host", None, None, True, HOSTS),
+        ("markov replay", ("--F",), "F", None, None, True, None),
+        ("markov replay", ("--t",), "t", int, None, False, None),
+        ("markov replay", ("--p",), "p", float, None, False, None),
+        ("embed norms", ("--alpha",), "alpha", float, None, False, None),
+        ("embed norms", ("--eps",), "eps", float, None, False, None),
+        ("embed pair", ("--a",), "a", None, None, True, None),
+        ("embed pair", ("--b",), "b", None, None, True, None),
+        ("embed pair", ("--alpha",), "alpha", float, None, False, None),
+        ("embed pair", ("--eps",), "eps", float, None, False, None),
+        ("embed scan", ("--alpha",), "alpha", float, None, False, None),
+        ("embed scan", ("--count",), "count", int, None, False, None),
+        ("embed scan", ("--eps",), "eps", float, None, False, None),
+        ("embed scan", ("--seed",), "seed", int, None, False, None),
+        ("embed scan", ("--sampler",), "sampler", None, "random", False, None),
+        ("embed scan", ("--out",), "out", None, None, False, None),
+        ("bound", ("--beta",), "beta", float, None, False, None),
+        ("bound", ("--iterated-k",), "iterated_k", int, None, False, None),
+        ("pipeline", ("--alpha",), "alpha", float, None, False, None),
+        ("pipeline", ("--eps",), "eps", float, None, False, None),
+        ("pipeline", ("--seed",), "seed", int, None, False, None),
+        ("pipeline", ("--trials",), "trials", int, None, False, None),
+        ("pipeline", ("--tmax",), "tmax", int, None, False, None),
+        ("pipeline", ("--out",), "out", None, None, False, None),
+    ]
+
+    def test_every_flag_is_pinned(self):
+        assert _flag_table(cli.build_parser()) == self.EXPECTED

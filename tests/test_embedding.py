@@ -327,14 +327,10 @@ class TestScan:
             emb.fit_exponent(observations)
 
     def test_scan_smoke(self):
-        report = emb.compression_scan(ALPHA, emb.random_element_sampler(), 50, 1e-6, 3)
+        report = emb.compression_scan(ALPHA, emb.random_elements(50, 3), 1e-6)
         assert len(report.observations) == 50
         assert report.fitted_lower_constant > 0
         assert report.lipschitz_max <= emb.lipschitz_audit(ALPHA) + 1e-9
-
-    def test_scan_count_floor(self):
-        with pytest.raises(ValidationError):
-            emb.compression_scan(ALPHA, emb.random_element_sampler(), 5, 1e-6, 3)
 
     def test_pure_cursor_ratio_diverges(self):
         family = emb.pure_cursor_family(100)
