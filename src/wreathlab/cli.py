@@ -13,6 +13,7 @@ then the WREATH_SEED environment variable (seed only), then defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -101,7 +102,10 @@ class _OutputSink:
     """Collects named text artifacts, then writes them plus the manifest.
 
     Each command builds its sink before doing any work, so the manifest's
-    wallClockSeconds covers the whole command, not just the file writes.
+    wallClockSeconds covers the whole command, not just the file writes. The
+    manifest's stages hold the seconds spent inside each stage() block (the
+    file writes count under "write"), and its counters what the command put
+    there.
     """
 
     def __init__(self, out_dir: str, command: str, config: dict, seed):
@@ -111,25 +115,38 @@ class _OutputSink:
         self.seed = seed
         self.started = time.monotonic()
         self.files: dict[str, str] = {}
+        self.stages: dict[str, float] = {}
+        self.counters: dict[str, int] = {}
 
     def add(self, name: str, body: str) -> None:
         self.files[name] = body
 
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        start = time.monotonic()
+        try:
+            yield
+        finally:
+            self.stages[name] = self.stages.get(name, 0.0) + time.monotonic() - start
+
     def flush(self) -> None:
-        os.makedirs(self.out_dir, exist_ok=True)
         checksums = {}
-        for name, body in sorted(self.files.items()):
-            data = body.encode("utf-8")
-            path = os.path.join(self.out_dir, name)
-            with open(path, "wb") as fh:
-                fh.write(data)
-            checksums[name] = hashlib.sha256(data).hexdigest()
+        with self.stage("write"):
+            os.makedirs(self.out_dir, exist_ok=True)
+            for name, body in sorted(self.files.items()):
+                data = body.encode("utf-8")
+                path = os.path.join(self.out_dir, name)
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                checksums[name] = hashlib.sha256(data).hexdigest()
         manifest = {
             "toolVersion": __version__,
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
             "wallClockSeconds": time.monotonic() - self.started,
+            "stages": self.stages,
+            "counters": self.counters,
             "outputs": checksums,
         }
         payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -456,34 +473,39 @@ def _cmd_pipeline(ns) -> int:
     sink = _OutputSink(ns.out, "pipeline", snapshot, seed)
 
     times = _default_times(tmax)
-    sample = walk.simulate("zwrz", times, trials, seed)
-    fit = walk.estimate_beta(sample)
-    _, c, tail = _calibrated_tail(sample, 0.75)
-    tested = [t for t in sample.times if 64 <= t <= 4096]
-    delta_min = min(tail.delta_hat[t] for t in tested)
+    with sink.stage("simulate"):
+        sample = walk.simulate("zwrz", times, trials, seed)
+    sink.counters["walkSteps"] = sample.trials * sample.times[-1]
+    with sink.stage("fit"):
+        fit = walk.estimate_beta(sample)
+        _, c, tail = _calibrated_tail(sample, 0.75)
+        tested = [t for t in sample.times if 64 <= t <= 4096]
+        delta_min = min(tail.delta_hat[t] for t in tested)
     if delta_min <= 0:
         raise InvariantViolation("empirical tail probability vanished on the tested grid")
 
-    scan_elements = embedding.ball_elements(6)
-    for prefactor in embedding.BALANCED_PREFACTORS:
-        scan_elements += embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
-    observations = embedding.norm_observations(scan_elements, alpha, eps)
-    rho_hat = markov.empirical_modulus(
-        [d for d, _, _ in observations], [v for _, v, _ in observations]
-    )
+    with sink.stage("scan"):
+        scan_elements = embedding.ball_elements(6)
+        for prefactor in embedding.BALANCED_PREFACTORS:
+            scan_elements += embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
+        observations = embedding.norm_observations(scan_elements, alpha, eps)
+        rho_hat = markov.empirical_modulus(
+            [d for d, _, _ in observations], [v for _, v, _ in observations]
+        )
 
     checks = []
-    for t in tested:
-        threshold = c * t**fit.beta_hat
-        lhs = rho_hat(threshold)
-        _, rhs = markov.compression_bound_sides(lhs, 1.0, delta_min, 2.0, t)
-        checks.append(
-            {"t": t, "threshold": threshold, "rhoHat": lhs, "bound": rhs, "pass": lhs <= rhs}
-        )
-        if lhs > rhs:
-            raise InvariantViolation(
-                f"compression bound failed at t={t}: rhoHat {lhs} > bound {rhs}"
+    with sink.stage("checks"):
+        for t in tested:
+            threshold = c * t**fit.beta_hat
+            lhs = rho_hat(threshold)
+            _, rhs = markov.compression_bound_sides(lhs, 1.0, delta_min, 2.0, t)
+            checks.append(
+                {"t": t, "threshold": threshold, "rhoHat": lhs, "bound": rhs, "pass": lhs <= rhs}
             )
+            if lhs > rhs:
+                raise InvariantViolation(
+                    f"compression bound failed at t={t}: rhoHat {lhs} > bound {rhs}"
+                )
 
     summary = {
         "alpha": alpha,
@@ -497,11 +519,13 @@ def _cmd_pipeline(ns) -> int:
         "checks": checks,
         "pass": True,
     }
-    scan_report = embedding.compression_report(alpha, observations)
-    sink.add("walk_samples.csv", _walk_csv(sample))
-    sink.add("walk_tail.csv", _tail_csv(tail))
-    sink.add("compression_observations.csv", _compression_csv(scan_report))
-    sink.add("pipeline_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with sink.stage("scan"):
+        scan_report = embedding.compression_report(alpha, observations)
+    with sink.stage("write"):
+        sink.add("walk_samples.csv", _walk_csv(sample))
+        sink.add("walk_tail.csv", _tail_csv(tail))
+        sink.add("compression_observations.csv", _compression_csv(scan_report))
+        sink.add("pipeline_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     sink.flush()
     _print_json(summary)
     return 0

@@ -1,18 +1,28 @@
 """Canonical simple random walks and displacement-exponent estimation.
 
 Each trial draws its own counter-based stream (Philox keyed by seed and trial
-index), so results are independent of evaluation order and reproducible
-bit-for-bit. Both walks are vectorized per trial. The wreath walk takes the
-cursor as a cumulative sum of the step codes and keeps the lamps at each
-requested time as one row of a lamp table, the lamp steps since the previous
-time added in. One metric.distances call per trial reads every displacement
-off that table, and each row's lamp mass splits it exactly into lamp mass plus
-cursor travel.
+index), so a trial's row does not depend on which trials ran before it or in
+which process. simulate splits the trials into contiguous blocks, at most one
+per usable CPU, runs them in a fork pool and concatenates the blocks' rows in
+trial order: the sample is bit-identical to a one-by-one run. A block gets at
+least _WORK_FLOOR steps, so a small walk stays one block in this process, with
+no pool and no multiprocessing import. Workers are forked rather than spawned:
+a spawned worker imports numpy and wreathlab afresh, which costs about as much
+as the walk it would take over. A worker calls no BLAS routine, so the BLAS
+threads of the parent do not matter to it. Where fork does not exist, the
+blocks run here, one after another.
+
+Both walks are vectorized per trial. The wreath walk takes the cursor as a
+cumulative sum of the step codes and keeps the lamps at each requested time as
+one row of a lamp table, the lamp steps since the previous time added in. One
+metric.distances call per trial reads every displacement off that table, and
+each row's lamp mass splits it exactly into lamp mass plus cursor travel.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,6 +47,13 @@ GROUPS = ("z", "zwrz")
 # int64 arrays of one entry per step that a trial holds at its peak: the step
 # codes, the path and the temporaries of its cumulative sum
 _STEP_ARRAYS = 4
+# copies of the sample's rows held at once: a block's rows in its worker, their
+# unpickled copy here, and the concatenation
+_ROW_COPIES = 3
+# fewest steps that earn a block of their own: on a 2-vCPU Xeon VM a fork pool
+# takes 5-15 ms to start, and 2^22 steps take about 40 ms on the line and
+# 120 ms on the wreath product
+_WORK_FLOOR = 2**22
 
 
 @dataclass(frozen=True)
@@ -140,6 +157,47 @@ def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarr
     return metric.distances(lamps, cursors, np.zeros_like(rows), rows), np.abs(lamps[1:]).sum(axis=1)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _block_bounds(trials: int, steps: int) -> list[tuple[int, int]]:
+    """Contiguous trial ranges [lo, hi), at most one per usable CPU, each of at
+    least _WORK_FLOOR steps unless there is only one."""
+    count = max(1, min(_usable_cpus(), trials, trials * steps // _WORK_FLOOR))
+    edges = [trials * k // count for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _block(
+    group: str, seed: int, lo: int, hi: int, times: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows lo..hi-1 of the sample: displacements, and lamp masses (None on the line)."""
+    rows = np.empty((hi - lo, len(times)), dtype=np.int64)
+    if group == "z":
+        for i in range(lo, hi):
+            rows[i - lo] = _line_trial(seed, i, times)
+        return rows, None
+    mass = np.empty_like(rows)
+    for i in range(lo, hi):
+        rows[i - lo], mass[i - lo] = _wreath_trial(seed, i, times)
+    return rows, mass
+
+
+def _run_blocks(args: list[tuple]) -> list[tuple]:
+    """_block on each argument tuple, in order; more than one runs in a fork pool."""
+    if len(args) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(len(args)) as pool:
+                return pool.starmap(_block, args)
+    return [_block(*a) for a in args]
+
+
 def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSample:
     """Run the uniform-generator walk and record exact displacements.
 
@@ -157,14 +215,15 @@ def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSa
         raise ValidationError("times must be strictly increasing")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    check_physical_memory(_STEP_ARRAYS * 8 * times[-1], f"the step arrays of a {times[-1]}-step trial")
-    lamp_mass = None
-    if group == "z":
-        rows = np.stack([_line_trial(seed, i, times) for i in range(trials)])
-    else:
-        split = [_wreath_trial(seed, i, times) for i in range(trials)]
-        rows = np.stack([out for out, _ in split])
-        lamp_mass = np.stack([mass for _, mass in split])
+    blocks = _block_bounds(trials, times[-1])
+    arrays = 1 if group == "z" else 2
+    check_physical_memory(
+        len(blocks) * _STEP_ARRAYS * 8 * times[-1] + _ROW_COPIES * arrays * 8 * trials * len(times),
+        f"the step arrays and rows of {trials} trials of {times[-1]} steps",
+    )
+    parts = _run_blocks([(group, seed, lo, hi, times) for lo, hi in blocks])
+    rows = np.concatenate([out for out, _ in parts])
+    lamp_mass = None if group == "z" else np.concatenate([mass for _, mass in parts])
     return WalkSample(group, times, rows, seed, lamp_mass)
 
 

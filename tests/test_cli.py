@@ -177,6 +177,24 @@ class TestWalkCommand:
         assert "physical memory" in err
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("group", ["z", "zwrz"])
+    def test_walk_rows_over_physical_memory_exits_3(self, capsys, tmp_path, monkeypatch, group):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        trials = physical // 8 + 1  # one int64 entry per trial alone is too big
+
+        def no_draws(args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(cli.walk, "_run_blocks", no_draws)
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "walk", "--group", group, "--trials", str(trials), "--times", "1",
+            "--out", str(tmp_path / "w"),
+        )
+        assert code == 3
+        assert "physical memory" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_summary_contents(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "walk", "--group", "z", "--trials", "30", "--tmax", "512",
@@ -448,6 +466,13 @@ class TestPipeline:
         names = sorted(os.listdir(out_dir))
         assert "pipeline_summary.json" in names
         assert "run_manifest.json" in names
+        with open(os.path.join(out_dir, "run_manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        stages = manifest["stages"]
+        assert set(stages) == {"simulate", "fit", "scan", "checks", "write"}
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert sum(stages.values()) <= manifest["wallClockSeconds"]
+        assert manifest["counters"] == {"walkSteps": 200 * 4096}
 
 
 def _flag_table(parser, path=()):

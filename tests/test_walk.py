@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from wreathlab import walk
 from wreathlab.errors import EstimationError, ValidationError
 from wreathlab.group import IDENTITY, canonical_generators, multiply
 from wreathlab.metric import witness_for
+
+from conftest import FULL_TIMES, FULL_TRIALS
 
 
 class TestSimulate:
@@ -84,6 +87,11 @@ class TestSimulate:
             == "552539801e029f881af391468b936358947135f569f522361fdf3c90b7b0fbcc"
         )
 
+    def test_golden_sample_takes_the_pool_path(self):
+        # on two or more CPUs the fixture splits into blocks, so the golden
+        # hashes above check the pool's concatenation
+        assert FULL_TRIALS * FULL_TIMES[-1] >= 2 * walk._WORK_FLOOR
+
     def test_split_into_lamp_mass_and_travel(self):
         sample = walk.simulate("zwrz", (4, 16, 64), 20, 2)
         lamp, travel = sample.split()
@@ -123,6 +131,64 @@ class TestSimulate:
             walk.simulate("z", (2, 4), 0, 0)
         with pytest.raises(ValidationError):
             walk.simulate("heisenberg", (2, 4), 10, 0)
+
+
+def _fork_spy(monkeypatch):
+    """The start methods simulate asks multiprocessing for, in order."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spy(method):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
+
+
+FORK = ["fork"] if "fork" in multiprocessing.get_all_start_methods() else []
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("group", walk.GROUPS)
+    def test_pool_equals_trial_by_trial(self, monkeypatch, group):
+        methods = _fork_spy(monkeypatch)
+        monkeypatch.setattr(walk, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(walk, "_WORK_FLOOR", 1)
+        times, seed = (0, 3, 16, 64), 13
+        assert walk._block_bounds(7, times[-1]) == [(0, 2), (2, 4), (4, 7)]
+        sample = walk.simulate(group, times, 7, seed)
+        assert methods == FORK
+        if group == "z":
+            expected = np.stack([walk._line_trial(seed, i, times) for i in range(7)])
+        else:
+            split = [walk._wreath_trial(seed, i, times) for i in range(7)]
+            expected = np.stack([out for out, _ in split])
+            assert np.array_equal(sample.lamp_mass, np.stack([mass for _, mass in split]))
+            assert sample.lamp_mass.dtype == np.int64
+        assert np.array_equal(sample.displacements, expected)
+        assert sample.displacements.dtype == np.int64
+
+    def test_one_block_on_a_large_walk(self, monkeypatch):
+        times, trials = (16, 1024, 2**14), 300
+        assert trials * times[-1] >= walk._WORK_FLOOR
+        pooled = walk.simulate("zwrz", times, trials, 4)
+        methods = _fork_spy(monkeypatch)
+        monkeypatch.setattr(walk, "_usable_cpus", lambda: 1)
+        assert walk._block_bounds(trials, times[-1]) == [(0, trials)]
+        single = walk.simulate("zwrz", times, trials, 4)
+        assert methods == []
+        assert np.array_equal(single.displacements, pooled.displacements)
+        assert np.array_equal(single.lamp_mass, pooled.lamp_mass)
+
+    def test_small_walks_stay_in_process(self, monkeypatch):
+        methods = _fork_spy(monkeypatch)
+        monkeypatch.setattr(walk, "_usable_cpus", lambda: 8)
+        assert walk._block_bounds(20, 1024) == [(0, 20)]
+        walk.simulate("zwrz", (16, 1024), 20, 3)
+        assert methods == []
+        # a block is never empty, even when steps alone would earn more blocks
+        assert walk._block_bounds(2, walk._WORK_FLOOR * 4) == [(0, 1), (1, 2)]
 
 
 class TestEstimateBeta:
