@@ -27,9 +27,7 @@ from .metric import (
     ball,
     distance,
     distance_bfs,
-    lower_bound_profile,
     neighbors,
-    profile_bracket,
 )
 
 __version__ = "0.1.0"
@@ -58,6 +56,4 @@ __all__ = [
     "distance_bfs",
     "ball",
     "neighbors",
-    "lower_bound_profile",
-    "profile_bracket",
 ]

@@ -213,7 +213,7 @@ def _cmd_metric(ns) -> int:
 
 
 def _default_times(tmax: int) -> tuple[int, ...]:
-    times = tuple(t for t in walk.dyadic_times() if t <= tmax)
+    times = tuple(t for t in walk.DYADIC_TIMES if t <= tmax)
     return times if times else (tmax,)
 
 
@@ -403,7 +403,8 @@ def _cmd_embed_pair(ns) -> int:
 
 
 def _scan_elements(spec: str, alpha: float, count: int, seed: int) -> list[GroupElement]:
-    """The first count elements of the sampler spec, building no more."""
+    """The first count elements of the sampler spec. random, cursor and lamp
+    build no more; ball:R and balanced build their whole family first."""
     head, _, arg = spec.partition(":")
     if head == "random":
         return embedding.random_elements(count, seed)
@@ -427,11 +428,11 @@ def _scan_elements(spec: str, alpha: float, count: int, seed: int) -> list[Group
 
 def _cmd_embed_scan(ns) -> int:
     alpha, eps, count = ns.alpha, ns.eps, ns.count
+    if count < 10:
+        raise ValidationError("count must be >= 10")
     snapshot = {"alpha": alpha, "eps": eps, "count": count, "sampler": ns.sampler}
     sink = _OutputSink(ns.out, "embed scan", snapshot, ns.seed)
     elements = _scan_elements(ns.sampler, alpha, count, ns.seed)
-    if count < 10:
-        raise ValidationError("count must be >= 10")
     report = embedding.compression_scan(alpha, elements, eps)
     summary = {
         "alpha": alpha,

@@ -25,43 +25,32 @@ mirror image n -> -n (cursors, support and differing positions negated). It
 never compares restrictions: those of a and b to [n, inf) agree exactly when
 n is past the last position where their lamps differ. A window longer than
 metric.DEFAULT_BALL_CAP positions is refused before it is summed.
-embedding_image keeps its own loops over explicit keys, as an independent
-oracle for that routine. compression_scan fits the shape of given elements:
-a family below, the ball, or random_elements.
+compression_scan fits the shape of given elements: a family below, the ball,
+or random_elements.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import zeta
 
 from . import metric
-from .errors import EstimationError, InvariantViolation, ResourceLimitError, ValidationError
+from .errors import EstimationError, ResourceLimitError, ValidationError
 from .group import GroupElement, IDENTITY, LampConfig, canonical_generators, encode
 
 __all__ = [
-    "EmbeddingKey",
-    "TailDescriptor",
-    "SparseHilbertVector",
-    "EmbeddingImage",
-    "half_line_restriction",
-    "half_line_coefficient",
     "embedding_distance",
     "embedding_norm",
-    "embedding_image",
     "lipschitz_audit",
     "CompressionReport",
     "norm_observations",
     "fit_exponent",
     "compression_report",
     "compression_scan",
-    "LowerBoundAudit",
-    "lower_bound_audit",
     "ball_elements",
     "pure_cursor_family",
     "pure_lamp_family",
@@ -91,46 +80,6 @@ def _check_eps(eps: float) -> float:
     if not eps >= EPS_FLOOR:  # NaN fails too
         raise ValidationError(f"eps must be >= {EPS_FLOOR} (floating accumulation floor)")
     return eps
-
-
-@dataclass(frozen=True, slots=True)
-class EmbeddingKey:
-    """One abstract orthonormal coordinate."""
-
-    side: str  # "right" | "left"
-    endpoint: int
-    restriction: LampConfig
-
-    def __post_init__(self):
-        if self.side not in ("right", "left"):
-            raise ValidationError("side must be 'right' or 'left'")
-        support = self.restriction.support()
-        if support:
-            if self.side == "right" and support[0] < self.endpoint:
-                raise ValidationError("restriction leaks outside the right half-line")
-            if self.side == "left" and support[-1] > self.endpoint:
-                raise ValidationError("restriction leaks outside the left half-line")
-
-
-def half_line_restriction(lamps: LampConfig, side: str, endpoint: int) -> LampConfig:
-    """Restriction of a lamp assignment to [endpoint, inf) or (-inf, endpoint]."""
-    positions = [p for p, _ in lamps.entries]
-    if side == "right":
-        cut = bisect_left(positions, endpoint)
-        return LampConfig(lamps.entries[cut:])
-    if side == "left":
-        cut = bisect_right(positions, endpoint)
-        return LampConfig(lamps.entries[:cut])
-    raise ValidationError("side must be 'right' or 'left'")
-
-
-def half_line_coefficient(lamps: LampConfig, cursor: int, key: EmbeddingKey, alpha: float) -> float:
-    """Coefficient of one phi coordinate for the element (lamps, cursor)."""
-    alpha = _check_alpha(alpha)
-    gap = key.endpoint - cursor if key.side == "right" else cursor - key.endpoint
-    if gap <= 0 or half_line_restriction(lamps, key.side, key.endpoint) != key.restriction:
-        return 0.0
-    return float(gap) ** alpha
 
 
 def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[float, float]:
@@ -200,15 +149,11 @@ def _half_line_sum(
     return math.fsum(terms), tail, remainder
 
 
-def _squared_parts(
-    a: GroupElement, b: GroupElement, alpha: float, eps: float, margin: int | None
-) -> tuple[int, float, float]:
+def _squared_parts(a: GroupElement, b: GroupElement, alpha: float, eps: float) -> tuple[int, float, float]:
     """(exact cursor+lamp part, phi part estimate, certified phi error)."""
     delta = abs(a.cursor - b.cursor)
-    if margin is None:
-        margin = max(4 * delta, BASE_MARGIN)
-    elif margin < max(4 * delta, 1):
-        raise ValidationError("margin must be at least max(4 |cursor gap|, 1)")
+    # the tail series needs delta/m0 <= 1/4, and m0 is at least margin + 1
+    margin = max(4 * delta, BASE_MARGIN)
     lamp_diff = dict(a.lamps.entries)
     for p, v in b.lamps.entries:
         q = lamp_diff.get(p, 0) - v
@@ -235,24 +180,16 @@ def _squared_parts(
     return exact, phi, right_rem + left_rem
 
 
-def embedding_distance(
-    a: GroupElement,
-    b: GroupElement,
-    alpha: float,
-    eps: float = 1e-6,
-    margin: int | None = None,
-) -> tuple[float, float]:
+def embedding_distance(a: GroupElement, b: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
     """Certified distance between two embedded elements.
 
     Returns (value, error_bound) with |value - true| <= error_bound <= eps.
-    The optional margin widens the explicit window (used by the monotonicity
-    tests); the default already satisfies the series precondition.
     """
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
     if a == b:
         return (0.0, 0.0)
-    exact, phi, slack = _squared_parts(a, b, alpha, eps, margin)
+    exact, phi, slack = _squared_parts(a, b, alpha, eps)
     total = exact + phi
     # distinct elements differ in cursor or lamps, so total >= 1 and the
     # square root inflates the squared-value error by at most 1/2
@@ -264,116 +201,6 @@ def embedding_distance(
 def embedding_norm(g: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
     """Certified norm of one embedded element (distance to the identity)."""
     return embedding_distance(g, IDENTITY, alpha, eps)
-
-
-@dataclass(frozen=True)
-class TailDescriptor:
-    """Closed-form family of coefficients beyond the explicit window.
-
-    On the named side, every endpoint past the cutoff carries the coefficient
-    (n - cursor_a)^alpha - (n - cursor_b)^alpha (mirrored on the left), whose
-    total squared mass is mass with certified error at most mass_slack.
-    """
-
-    side: str
-    cutoff: int
-    cursor_a: int
-    cursor_b: int
-    mass: float
-    mass_slack: float
-
-    @property
-    def certified_mass_bound(self) -> float:
-        return self.mass + self.mass_slack
-
-
-@dataclass(frozen=True)
-class SparseHilbertVector:
-    """Finitely many explicit coefficients plus certified tails."""
-
-    coefficients: dict[EmbeddingKey, float]
-    tails: tuple[TailDescriptor, ...]
-
-    def squared_norm(self) -> tuple[float, float]:
-        body = math.fsum(c * c for c in self.coefficients.values())
-        tail = math.fsum(t.mass for t in self.tails)
-        slack = math.fsum(t.mass_slack for t in self.tails)
-        return (body + tail, slack)
-
-
-@dataclass(frozen=True)
-class EmbeddingImage:
-    """cursor (+) lamps (+) phi difference, with a certified norm."""
-
-    cursor_part: int
-    lamp_part: LampConfig
-    phi_part: SparseHilbertVector
-
-    def norm(self) -> tuple[float, float]:
-        phi_sq, slack = self.phi_part.squared_norm()
-        total = self.cursor_part**2 + sum(v * v for _, v in self.lamp_part.entries) + phi_sq
-        if total <= 0.0 and slack == 0.0:
-            return (0.0, 0.0)
-        value = math.sqrt(total)
-        denom = math.sqrt(max(total - slack, 0.0)) + value
-        return (value, slack / denom if denom > 0 else math.sqrt(slack))
-
-
-def embedding_image(g: GroupElement, alpha: float, eps: float = 1e-6) -> EmbeddingImage:
-    """Materialize the image of one element relative to the identity.
-
-    Keys with a nonzero lamp restriction get explicit coefficients (the
-    identity contributes nothing there); zero-restriction keys inside the
-    window get the explicit difference of the two pure-cursor coefficients;
-    past the window the difference families are stored as TailDescriptors.
-    """
-    alpha = _check_alpha(alpha)
-    eps = _check_eps(eps)
-    k = g.cursor
-    delta = abs(k)
-    margin = max(4 * delta, BASE_MARGIN)
-    entries = g.lamps.entries
-    support = [p for p, _ in entries]
-    coeffs: dict[EmbeddingKey, float] = {}
-    tails: list[TailDescriptor] = []
-    tail_tol = eps * eps / 8.0
-
-    k_hi = max(k, 0)
-    cutoff_r = max(k_hi + margin, support[-1] if support else k_hi)
-    for n in range(min(k, 0) + 1, cutoff_r + 1):
-        restriction = half_line_restriction(g.lamps, "right", n)
-        cg = float(n - k) ** alpha if n > k else 0.0
-        ce = float(n) ** alpha if n > 0 else 0.0
-        if restriction:
-            # the element's own key, untouched by the identity
-            if cg:
-                coeffs[EmbeddingKey("right", n, restriction)] = cg
-            if ce:
-                coeffs[EmbeddingKey("right", n, LampConfig())] = -ce
-        elif cg - ce:
-            coeffs[EmbeddingKey("right", n, LampConfig())] = cg - ce
-    if delta:
-        mass, slack = shifted_power_tail(delta, cutoff_r - k_hi + 1, alpha, tail_tol)
-        tails.append(TailDescriptor("right", cutoff_r, k, 0, mass, slack))
-
-    k_lo = min(k, 0)
-    cutoff_l = min(k_lo - margin, support[0] if support else k_lo)
-    for n in range(cutoff_l, max(k, 0)):
-        restriction = half_line_restriction(g.lamps, "left", n)
-        cg = float(k - n) ** alpha if n < k else 0.0
-        ce = float(-n) ** alpha if n < 0 else 0.0
-        if restriction:
-            if cg:
-                coeffs[EmbeddingKey("left", n, restriction)] = cg
-            if ce:
-                coeffs[EmbeddingKey("left", n, LampConfig())] = -ce
-        elif cg - ce:
-            coeffs[EmbeddingKey("left", n, LampConfig())] = cg - ce
-    if delta:
-        mass, slack = shifted_power_tail(delta, k_lo - cutoff_l + 1, alpha, tail_tol)
-        tails.append(TailDescriptor("left", cutoff_l, k, 0, mass, slack))
-
-    return EmbeddingImage(k, g.lamps, SparseHilbertVector(coeffs, tuple(tails)))
 
 
 def lipschitz_audit(alpha: float) -> float:
@@ -454,42 +281,6 @@ def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> 
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
     return compression_report(alpha, norm_observations(elements, alpha, eps))
-
-
-class LowerBoundAudit(NamedTuple):
-    norm2: float
-    k_term: float
-    lamp_term: float
-    travel_term: float
-    rhs: float
-
-
-def lower_bound_audit(g: GroupElement, alpha: float, eps: float = 1e-6) -> LowerBoundAudit:
-    """The three exact lower-bound ingredients against the squared norm.
-
-    k_term = cursor^2 and lamp_term = sum f^2 sit inside the cursor and lamp
-    summands; travel_term = sum_{l=1}^{spread} l^{2 alpha} is carried by the
-    phi keys with nonzero restriction on the side of the farthest lamp. Each
-    ingredient is individually asserted against norm^2; rhs is the squared
-    lower-bound shape of the distance, reported for scan-style comparisons.
-    """
-    alpha = _check_alpha(alpha)
-    eps = _check_eps(eps)
-    value, bound = embedding_norm(g, alpha, eps)
-    norm2 = value * value
-    slack = 2 * value * bound + bound * bound
-    k, spread, _ = metric.lower_bound_profile(g)
-    k_term = float(k * k)
-    lamp_term = float(sum(v * v for _, v in g.lamps.entries))
-    travel_term = math.fsum(float(l) ** (2 * alpha) for l in range(1, spread + 1))
-    d = metric.distance(IDENTITY, g).total
-    rhs = float(d) ** (2 * lower_shape_exponent(alpha)) if d else 0.0
-    for name, term in (("k", k_term), ("lamp", lamp_term), ("travel", travel_term)):
-        if term > norm2 + slack:
-            raise InvariantViolation(
-                f"squared norm {norm2} fails to dominate the {name} term {term}"
-            )
-    return LowerBoundAudit(norm2, k_term, lamp_term, travel_term, rhs)
 
 
 def ball_elements(radius: int) -> list[GroupElement]:

@@ -50,8 +50,6 @@ __all__ = [
     "breadth_first",
     "ball",
     "neighbors",
-    "lower_bound_profile",
-    "profile_bracket",
 ]
 
 DEFAULT_BALL_CAP = 10_000_000
@@ -191,10 +189,11 @@ class BallTable:
         return sizes
 
 
-def breadth_first(centers: Iterable, neighbors: Callable[[object], Iterable], radius: int, cap: int) -> dict:
+def breadth_first(centers: Iterable, neighbors: Callable[[object], Iterable], radius: int) -> dict:
     """Multi-source breadth-first search: vertex -> distance to the nearest
-    center for every vertex within radius, in the order reached; more than cap
-    vertices raise ResourceLimitError."""
+    center for every vertex within radius, in the order reached; more than
+    DEFAULT_BALL_CAP vertices raise ResourceLimitError."""
+    cap = DEFAULT_BALL_CAP
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     found = dict.fromkeys(centers, 0)
@@ -215,37 +214,14 @@ def breadth_first(centers: Iterable, neighbors: Callable[[object], Iterable], ra
     return found
 
 
-def ball(radius: int, cap: int = DEFAULT_BALL_CAP) -> BallTable:
+def ball(radius: int) -> BallTable:
     """Enumerate the radius ball around the identity by breadth-first search.
 
     The graph is 4-regular, so |B_R| <= 1 + 4 (3^R - 1) / 2 = 2 3^R - 1 (exact
-    up to R = 3); a radius whose bound exceeds cap is refused before any search.
+    up to R = 3); a radius whose bound exceeds DEFAULT_BALL_CAP is refused
+    before any search.
     """
-    if 2 * 3**radius - 1 > cap:
-        raise ResourceLimitError(f"the radius-{radius} ball may exceed the cap {cap}")
-    return BallTable(radius, breadth_first([IDENTITY], neighbors, radius, cap))
+    if 2 * 3**radius - 1 > DEFAULT_BALL_CAP:
+        raise ResourceLimitError(f"the radius-{radius} ball may exceed the cap {DEFAULT_BALL_CAP}")
+    return BallTable(radius, breadth_first([IDENTITY], neighbors, radius))
 
-
-def lower_bound_profile(g: GroupElement) -> tuple[int, int, int]:
-    """(cursor, spread, lamp mass): the coarse size profile of an element.
-
-    spread is the farthest support position measured from the cursor, so the
-    lamps live inside [cursor - spread, cursor + spread].
-    """
-    k = g.cursor
-    spread = max((abs(p - k) for p in g.lamps.support()), default=0)
-    lamp_sum = sum(abs(v) for _, v in g.lamps.entries)
-    return (k, spread, lamp_sum)
-
-
-def profile_bracket(profile: tuple[int, int, int]) -> tuple[int, int]:
-    """Two-sided distance bracket implied by a profile.
-
-    max(|k|, spread, mass) <= distance <= 2(|k| + 2 spread) + mass. The upper
-    side holds because the two sweep strategies sum to 4(R - L), so the better
-    one costs at most 2(R - L) <= 2(|k| + 2 spread).
-    """
-    k, spread, lamp_sum = profile
-    lower = max(abs(k), spread, lamp_sum)
-    upper = 2 * (abs(k) + 2 * spread) + lamp_sum
-    return (lower, upper)

@@ -5,12 +5,12 @@ index), so a trial's row does not depend on which trials ran before it or in
 which process. simulate splits the trials into contiguous blocks, at most one
 per usable CPU, runs them in a fork pool and concatenates the blocks' rows in
 trial order: the sample is bit-identical to a one-by-one run. A block gets at
-least _WORK_FLOOR steps, so a small walk stays one block in this process, with
-no pool and no multiprocessing import. Workers are forked rather than spawned:
-a spawned worker imports numpy and wreathlab afresh, which costs about as much
-as the walk it would take over. A worker calls no BLAS routine, so the BLAS
-threads of the parent do not matter to it. Where fork does not exist, the
-blocks run here, one after another.
+least _WORK_FLOOR steps, a trial's fixed cost counted as _TRIAL_STEPS more, so a
+small walk stays one block in this process, with no pool and no multiprocessing
+import. Workers are forked rather than spawned: a spawned worker imports numpy
+and wreathlab afresh, which costs about as much as the walk it would take over.
+A worker calls no BLAS routine, so the BLAS threads of the parent do not matter
+to it. Where fork does not exist, the blocks run here, one after another.
 
 Both walks are vectorized per trial. The wreath walk takes the cursor as a
 cumulative sum of the step codes and keeps the lamps at each requested time as
@@ -36,7 +36,7 @@ __all__ = [
     "WalkSample",
     "BetaFit",
     "TailEstimate",
-    "dyadic_times",
+    "DYADIC_TIMES",
     "simulate",
     "estimate_beta",
     "estimate_tail",
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 GROUPS = ("z", "zwrz")
+# the default time grid 2^4 .. 2^14
+DYADIC_TIMES = tuple(2**k for k in range(4, 15))
 # int64 arrays of one entry per step that a trial holds at its peak: the step
 # codes, the path and the temporaries of its cumulative sum
 _STEP_ARRAYS = 4
@@ -54,6 +56,10 @@ _ROW_COPIES = 3
 # takes 5-15 ms to start, and 2^22 steps take about 40 ms on the line and
 # 120 ms on the wreath product
 _WORK_FLOOR = 2**22
+# the fixed cost of a trial (its Philox generator and some twenty numpy calls),
+# in steps: on the same VM 30-45 us on the line (2^11 steps of 17-21 ns) and
+# 115-150 us on the wreath product (2^12 steps of 30-32 ns)
+_TRIAL_STEPS = 2**12
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,6 @@ class TailEstimate:
     standard_errors: dict[int, float]
 
 
-def dyadic_times(lo_exp: int = 4, hi_exp: int = 14) -> tuple[int, ...]:
-    """The default time grid 2^lo_exp .. 2^hi_exp."""
-    if lo_exp > hi_exp:
-        raise ValidationError("empty time grid")
-    return tuple(2**k for k in range(lo_exp, hi_exp + 1))
-
-
 def _trial_rng(seed: int, trial: int) -> Generator:
     key = np.array([seed, trial], dtype=np.uint64)
     return Generator(Philox(key=key))
@@ -166,8 +165,9 @@ def _usable_cpus() -> int:
 
 def _block_bounds(trials: int, steps: int) -> list[tuple[int, int]]:
     """Contiguous trial ranges [lo, hi), at most one per usable CPU, each of at
-    least _WORK_FLOOR steps unless there is only one."""
-    count = max(1, min(_usable_cpus(), trials, trials * steps // _WORK_FLOOR))
+    least _WORK_FLOOR steps unless there is only one; a trial weighs its steps
+    plus _TRIAL_STEPS."""
+    count = max(1, min(_usable_cpus(), trials, trials * (steps + _TRIAL_STEPS) // _WORK_FLOOR))
     edges = [trials * k // count for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
 

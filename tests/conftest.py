@@ -11,7 +11,7 @@ import pytest
 from wreathlab import embedding, metric, walk
 
 ALPHA = 0.45
-FULL_TIMES = walk.dyadic_times()  # 2^4 .. 2^14
+FULL_TIMES = walk.DYADIC_TIMES  # 2^4 .. 2^14
 FULL_TRIALS = 2000
 SEED = 7
 

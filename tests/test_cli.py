@@ -421,6 +421,18 @@ class TestEmbedCommands:
         assert code == 1
         assert err.startswith("error: count")
 
+    def test_scan_count_floor_checked_before_the_sampler(self, capsys, tmp_path, monkeypatch):
+        def no_ball(radius):
+            raise AssertionError("the ball was built")
+
+        monkeypatch.setattr(cli.embedding, "ball_elements", no_ball)
+        code, _, err = run_cli(
+            capsys, "embed", "scan", "--sampler", "ball:10", "--count", "5", "--out", str(tmp_path / "s")
+        )
+        assert code == 1
+        assert err.startswith("error: count")
+        assert not os.path.exists(tmp_path / "s")
+
     def test_scan_builds_at_most_count_elements(self, capsys, tmp_path):
         bodies = []
         for spec in ("cursor:1000000000000", "cursor:20"):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from wreathlab import embedding as emb, metric
-from wreathlab.errors import EstimationError, InvariantViolation, ValidationError
+from wreathlab.errors import EstimationError, ValidationError
 from wreathlab.group import IDENTITY, GroupElement, LampConfig, element_from_text, multiply
 
+from oracles import embedding_image
 from test_group import random_element
 
 ALPHA = 0.45
@@ -33,45 +34,35 @@ def direct_step_norm_squared(alpha: float, window: int = 20_000_000):
 
 
 class TestCoefficients:
+    """The key-level oracle's coefficients of g minus the identity follow the definition."""
+
     def test_empty_restriction_right_of_origin(self):
-        key = emb.EmbeddingKey("right", 2, LampConfig(()))
-        value = emb.half_line_coefficient(LampConfig(()), 0, key, ALPHA)
-        assert value == pytest.approx(2**ALPHA)
+        _, _, coefficients = embedding_image(element_from_text("-3;"), ALPHA)
+        assert coefficients[("right", 2, ())] == pytest.approx(5**ALPHA - 2**ALPHA)
 
     def test_mismatched_restriction_gives_zero(self):
-        key = emb.EmbeddingKey("right", 2, LampConfig(((3, 1),)))
-        assert emb.half_line_coefficient(LampConfig(()), 0, key, ALPHA) == 0.0
+        # g's key at 2 carries its lamp, so the identity's empty key is left unmatched
+        _, _, coefficients = embedding_image(element_from_text("0; 3:1"), ALPHA)
+        assert coefficients[("right", 2, ((3, 1),))] == pytest.approx(2**ALPHA)
+        assert coefficients[("right", 2, ())] == pytest.approx(-(2**ALPHA))
 
     def test_lamp_behind_the_cut_is_invisible(self):
-        # a lamp at 0 restricted to [1, inf) vanishes, so the zero key matches
-        key = emb.EmbeddingKey("right", 1, LampConfig(()))
-        value = emb.half_line_coefficient(LampConfig(((0, 1),)), 0, key, ALPHA)
-        assert value == pytest.approx(1.0)
+        # a lamp at 0 restricted to [1, inf) vanishes, so g shares the empty key
+        _, _, coefficients = embedding_image(element_from_text("-1; 0:1"), ALPHA)
+        assert coefficients[("right", 1, ())] == pytest.approx(2**ALPHA - 1.0)
 
     def test_wrong_side_of_cursor_gives_zero(self):
-        key = emb.EmbeddingKey("right", 2, LampConfig(()))
-        assert emb.half_line_coefficient(LampConfig(()), 5, key, ALPHA) == 0.0
+        _, _, coefficients = embedding_image(element_from_text("5;"), ALPHA)
+        assert coefficients[("right", 2, ())] == pytest.approx(-(2**ALPHA))
 
     def test_left_side(self):
-        key = emb.EmbeddingKey("left", -3, LampConfig(((-4, 2),)))
-        lamps = LampConfig(((-4, 2), (1, 1)))
-        assert emb.half_line_coefficient(lamps, 0, key, ALPHA) == pytest.approx(3**ALPHA)
-
-    def test_key_rejects_leaking_restriction(self):
-        with pytest.raises(ValidationError):
-            emb.EmbeddingKey("right", 2, LampConfig(((0, 1),)))
-
-    def test_restriction_helper(self):
-        lamps = LampConfig(((-2, 1), (0, 3), (5, -1)))
-        assert emb.half_line_restriction(lamps, "right", 0).entries == ((0, 3), (5, -1))
-        assert emb.half_line_restriction(lamps, "left", 0).entries == ((-2, 1), (0, 3))
-        assert emb.half_line_restriction(lamps, "right", 6).entries == ()
+        _, _, coefficients = embedding_image(element_from_text("0; -4:2, 1:1"), ALPHA)
+        assert coefficients[("left", -3, ((-4, 2),))] == pytest.approx(3**ALPHA)
 
     def test_alpha_domain(self):
-        key = emb.EmbeddingKey("right", 1, LampConfig(()))
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(ValidationError):
-                emb.half_line_coefficient(LampConfig(()), 0, key, bad)
+                emb.embedding_norm(element_from_text("1;"), bad)
 
 
 class TestTailSeries:
@@ -146,17 +137,13 @@ class TestNorms:
             v2, e2 = emb.embedding_distance(multiply(g, a), multiply(g, b), ALPHA)
             assert abs(v1 - v2) <= e1 + e2
 
-    def test_wider_window_agrees(self):
+    def test_wider_window_agrees(self, monkeypatch):
         a = element_from_text("3; -2:1, 5:-4")
         b = element_from_text("-1; 0:2")
         v1, e1 = emb.embedding_distance(a, b, ALPHA, 1e-6)
-        v2, e2 = emb.embedding_distance(a, b, ALPHA, 1e-6, margin=128)
+        monkeypatch.setattr(emb, "BASE_MARGIN", 128)
+        v2, e2 = emb.embedding_distance(a, b, ALPHA, 1e-6)
         assert abs(v1 - v2) <= e1 + e2
-
-    def test_margin_floor_enforced(self):
-        a = element_from_text("8;")
-        with pytest.raises(ValidationError):
-            emb.embedding_distance(a, IDENTITY, ALPHA, 1e-6, margin=4)
 
     def test_eps_floor(self):
         with pytest.raises(ValidationError):
@@ -168,6 +155,11 @@ class TestNorms:
             v1, e1 = emb.embedding_distance(a, b, ALPHA)
             v2, e2 = emb.embedding_distance(b, a, ALPHA)
             assert abs(v1 - v2) <= e1 + e2
+
+
+def restriction(g, side, n):
+    """The lamps of g on [n, inf) ("right") or (-inf, n] ("left")."""
+    return tuple((p, v) for p, v in g.lamps.entries if (p >= n if side == "right" else p <= n))
 
 
 def mirror(g):
@@ -202,9 +194,7 @@ class TestHalfLineWindow:
             ends = list(support) + [a.cursor, b.cursor]
             for n in range(min(ends) - margin, max(ends) + margin + 1):
                 for side, agree in (("right", n > last_diff), ("left", n < first_diff)):
-                    ra = emb.half_line_restriction(a.lamps, side, n)
-                    rb = emb.half_line_restriction(b.lamps, side, n)
-                    assert (ra == rb) == agree, (a, b, side, n)
+                    assert (restriction(a, side, n) == restriction(b, side, n)) == agree, (a, b, side, n)
 
     def test_mirror_is_a_symmetry_to_the_bit(self, rng):
         for a, b in nearby_pairs(rng, 80):
@@ -217,56 +207,41 @@ class TestHalfLineWindow:
 
 
 class TestImage:
+    """embedding_norm against the key-level oracle."""
+
     def test_norm_agrees_with_distance(self, rng):
         for _ in range(20):
             g = random_element(rng)
             if g == IDENTITY:
                 continue
-            image = emb.embedding_image(g, ALPHA)
-            value, err = image.norm()
-            direct, derr = emb.embedding_norm(g, ALPHA)
-            assert abs(value - direct) <= err + derr
+            squared, slack, _ = embedding_image(g, ALPHA)
+            value, bound = emb.embedding_norm(g, ALPHA)
+            assert abs(value * value - squared) <= slack + bound * (2 * value + bound) + 1e-12 * squared
 
     def test_explicit_coefficients_are_differences(self, rng):
         for _ in range(10):
             g = random_element(rng)
-            image = emb.embedding_image(g, ALPHA)
-            for key, coefficient in image.phi_part.coefficients.items():
-                cg = emb.half_line_coefficient(g.lamps, g.cursor, key, ALPHA)
-                ce = emb.half_line_coefficient(LampConfig(()), 0, key, ALPHA)
+            _, _, coefficients = embedding_image(g, ALPHA)
+            for (side, n, lamps), coefficient in coefficients.items():
+                # a key's lamps never leak outside its half-line
+                assert all((p >= n) if side == "right" else (p <= n) for p, _ in lamps)
+                gap = n - g.cursor if side == "right" else g.cursor - n
+                cg = float(gap) ** ALPHA if gap > 0 and lamps == restriction(g, side, n) else 0.0
+                ce = float(abs(n)) ** ALPHA if n and (n > 0) == (side == "right") and not lamps else 0.0
                 assert coefficient == pytest.approx(cg - ce, abs=1e-12)
                 assert coefficient != 0.0
 
     def test_parts_decompose_the_norm(self):
         g = element_from_text("2; 1:3")
-        image = emb.embedding_image(g, ALPHA)
-        assert image.cursor_part == 2.0
-        assert image.lamp_part == g.lamps
-        value, _ = image.norm()
-        phi2, phi_slack = image.phi_part.squared_norm()
-        assert value**2 == pytest.approx(4.0 + 9.0 + phi2, rel=1e-12, abs=phi_slack)
-
-    def test_tails_certify_their_mass(self):
-        g = element_from_text("3;")
-        image = emb.embedding_image(g, ALPHA)
-        assert len(image.phi_part.tails) == 2
-        for tail in image.phi_part.tails:
-            assert tail.mass >= 0.0
-            assert tail.certified_mass_bound >= tail.mass
-            # recompute a stretch of the closed-form family explicitly
-            direction = 1 if tail.side == "right" else -1
-            total = 0.0
-            for i in range(1, 2001):
-                n = tail.cutoff + direction * i
-                ca = abs(n - tail.cursor_a) ** ALPHA
-                cb = abs(n - tail.cursor_b) ** ALPHA
-                total += (ca - cb) ** 2
-            assert total <= tail.certified_mass_bound
+        squared, slack, _ = embedding_image(g, ALPHA)
+        exact, phi, phi_slack = emb._squared_parts(g, IDENTITY, ALPHA, 1e-6)
+        assert exact == 4 + 9  # cursor and lamp parts
+        assert phi == pytest.approx(squared - exact, rel=1e-12, abs=slack + phi_slack)
 
     def test_lamp_generator_image_has_no_phi_keys(self):
-        image = emb.embedding_image(element_from_text("0; 0:1"), ALPHA)
-        assert image.phi_part.coefficients == {}
-        assert all(t.mass == 0.0 for t in image.phi_part.tails)
+        squared, slack, coefficients = embedding_image(element_from_text("0; 0:1"), ALPHA)
+        assert coefficients == {}
+        assert (squared, slack) == (1.0, 0.0)
 
 
 class TestLipschitz:
@@ -289,22 +264,30 @@ class TestLipschitz:
             assert value <= audit * d + err + 1e-12
 
 
+def lower_bound_terms(g):
+    """k^2, the squared lamp mass, and sum_{l=1}^{spread} l^(2 alpha) with spread
+    the farthest lamp from the cursor: each sits inside the squared norm."""
+    spread = max((abs(p - g.cursor) for p in g.lamps.support()), default=0)
+    travel = math.fsum(float(l) ** (2 * ALPHA) for l in range(1, spread + 1))
+    return (float(g.cursor**2), float(sum(v * v for _, v in g.lamps.entries)), travel)
+
+
 class TestLowerBound:
     def test_identity_is_all_zero(self):
-        audit = emb.lower_bound_audit(IDENTITY, ALPHA)
-        assert audit == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert emb.embedding_norm(IDENTITY, ALPHA) == (0.0, 0.0)
+        assert lower_bound_terms(IDENTITY) == (0.0, 0.0, 0.0)
 
     def test_three_lamps_example(self):
-        audit = emb.lower_bound_audit(element_from_text("0; 2:3"), ALPHA)
-        assert audit.k_term == 0.0
-        assert audit.lamp_term == 9.0
-        assert audit.travel_term == pytest.approx(1.0 + 2 ** (2 * ALPHA))
+        k_term, lamp_term, travel_term = lower_bound_terms(element_from_text("0; 2:3"))
+        assert k_term == 0.0
+        assert lamp_term == 9.0
+        assert travel_term == pytest.approx(1.0 + 2 ** (2 * ALPHA))
 
     def test_terms_below_norm_on_ball(self, ball4_elements):
         for g in ball4_elements:
-            audit = emb.lower_bound_audit(g, ALPHA)
-            ceiling = audit.norm2 * (1 + 1e-10) + 1e-12
-            assert max(audit.k_term, audit.lamp_term, audit.travel_term) <= ceiling
+            value, bound = emb.embedding_norm(g, ALPHA)
+            ceiling = (value + bound) ** 2 * (1 + 1e-10) + 1e-12
+            assert max(lower_bound_terms(g)) <= ceiling
 
     def test_shape_exponent(self):
         assert emb.lower_shape_exponent(ALPHA) == pytest.approx(

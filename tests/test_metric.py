@@ -1,4 +1,4 @@
-"""Word metric: closed form, its array form, search oracle, balls, and the profile bracket."""
+"""Word metric: closed form, its array form, search oracle, balls, and a size bracket."""
 
 import numpy as np
 import pytest
@@ -148,38 +148,33 @@ class TestBall:
             checked += 1
         assert checked > 0
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 100)
         with pytest.raises(ResourceLimitError):
-            metric.ball(8, cap=100)
+            metric.ball(8)
 
-    def test_cap_admits_the_exact_bound(self):
+    def test_cap_admits_the_exact_bound(self, monkeypatch):
         # |B_3| = 53 = 2 * 3^3 - 1: the 4-regular bound is exact up to radius 3
-        assert len(metric.ball(3, cap=53)) == 53
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 53)
+        assert len(metric.ball(3)) == 53
 
     def test_cap_refused_before_any_search(self, monkeypatch):
         def no_search(g):
             raise AssertionError("the search started")
 
         monkeypatch.setattr(metric, "neighbors", no_search)
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 52)
         with pytest.raises(ResourceLimitError):
-            metric.ball(3, cap=52)
+            metric.ball(3)
 
 
 class TestProfile:
-    def test_identity(self):
-        assert metric.lower_bound_profile(IDENTITY) == (0, 0, 0)
-
-    def test_single_far_lamp(self):
-        assert metric.lower_bound_profile(element_from_text("2; 5:1")) == (2, 3, 1)
-
     def test_bracket_on_ball(self, ball8):
+        # with spread the farthest lamp from the cursor k and mass the lamp
+        # mass, the two sweeps sum to 4 (R - L), so the better one is at most
+        # 2 (R - L) <= 2 (|k| + 2 spread)
         for g in ball8:
-            d = ball8.distance_of(g)
-            lo, hi = metric.profile_bracket(metric.lower_bound_profile(g))
-            assert lo <= d <= hi
-
-    def test_bracket_tight_cases(self):
-        # pure translation: both ends touch
-        profile = metric.lower_bound_profile(element_from_text("7;"))
-        lo, hi = metric.profile_bracket(profile)
-        assert lo == 7 and hi >= 7
+            k = abs(g.cursor)
+            spread = max((abs(p - g.cursor) for p in g.lamps.support()), default=0)
+            mass = sum(abs(v) for _, v in g.lamps.entries)
+            assert max(k, spread, mass) <= ball8.distance_of(g) <= 2 * (k + 2 * spread) + mass

@@ -190,6 +190,11 @@ class TestBlocks:
         # a block is never empty, even when steps alone would earn more blocks
         assert walk._block_bounds(2, walk._WORK_FLOOR * 4) == [(0, 1), (1, 2)]
 
+    def test_many_short_trials_earn_blocks(self, monkeypatch):
+        # 200,000 steps are far under the floor, but 50,000 trials' fixed costs are not
+        monkeypatch.setattr(walk, "_usable_cpus", lambda: 2)
+        assert walk._block_bounds(50000, 4) == [(0, 25000), (25000, 50000)]
+
 
 class TestEstimateBeta:
     def test_exact_linear_growth(self):
