@@ -489,7 +489,10 @@ def _cmd_pipeline(ns) -> int:
         scan_elements = embedding.ball_elements(6)
         for prefactor in embedding.BALANCED_PREFACTORS:
             scan_elements += embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
+        tail_series = embedding.tail_cache_info().misses
         observations = embedding.norm_observations(scan_elements, alpha, eps)
+        sink.counters["tailSeries"] = embedding.tail_cache_info().misses - tail_series
+        sink.counters["normsCertified"] = sum(bound <= eps for _, _, bound in observations)
         rho_hat = markov.empirical_modulus(
             [d for d, _, _ in observations], [v for _, v, _ in observations]
         )

@@ -12,11 +12,14 @@ and wreathlab afresh, which costs about as much as the walk it would take over.
 A worker calls no BLAS routine, so the BLAS threads of the parent do not matter
 to it. Where fork does not exist, the blocks run here, one after another.
 
-Both walks are vectorized per trial. The wreath walk takes the cursor as a
-cumulative sum of the step codes and keeps the lamps at each requested time as
-one row of a lamp table, the lamp steps since the previous time added in. One
-metric.distances call per trial reads every displacement off that table, and
-each row's lamp mass splits it exactly into lamp mass plus cursor travel.
+Both walks are vectorized per trial, and each reads its row off a path that
+starts at 0. The wreath walk takes the cursor as a cumulative sum of a lookup
+of the step codes, and keeps the lamps at each requested time as one row of a
+lamp table: one bincount, keyed by row and cursor column and weighted +-1 by
+the lamp steps, collects each interval's increments, and a cumulative sum down
+the rows turns them into the lamps. One metric.distances call per trial reads
+every displacement off that table, and each row's lamp mass splits it exactly
+into lamp mass plus cursor travel.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ __all__ = [
 GROUPS = ("z", "zwrz")
 # the default time grid 2^4 .. 2^14
 DYADIC_TIMES = tuple(2**k for k in range(4, 15))
-# int64 arrays of one entry per step that a trial holds at its peak: the step
-# codes, the path and the temporaries of its cumulative sum
+# 8-byte arrays of one entry per step that a trial holds at its peak: the step
+# codes, the path, and on the wreath product the bincount's keys and weights
 _STEP_ARRAYS = 4
 # copies of the sample's rows held at once: a block's rows in its worker, their
 # unpickled copy here, and the concatenation
@@ -121,11 +124,16 @@ def _trial_rng(seed: int, trial: int) -> Generator:
 
 
 def _line_trial(seed: int, trial: int, times: Sequence[int]) -> np.ndarray:
-    t_max = times[-1]
     rng = _trial_rng(seed, trial)
-    steps = rng.integers(0, 2, size=t_max, dtype=np.int64) * 2 - 1
-    position = np.cumsum(steps)
-    return np.array([abs(int(position[t - 1])) if t else 0 for t in times], dtype=np.int64)
+    steps = rng.integers(0, 2, size=times[-1], dtype=np.int64) * 2 - 1
+    path = np.zeros(len(steps) + 1, dtype=np.int64)  # path[t] is the position after t steps
+    np.cumsum(steps, out=path[1:])
+    return np.abs(path[np.asarray(times)])
+
+
+# per step code: the cursor move, and the lamp increment at the cursor
+_CURSOR_STEP = np.array([0, 0, 1, -1], dtype=np.int64)
+_LAMP_STEP = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -134,26 +142,29 @@ def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarr
     cursor[s] is the cursor after s steps, and lamp step s + 1 (code 0 adds
     one, code 1 takes one away) acts at cursor[s]. Row 0 of the lamp table is
     the identity and row c + 1 the lamps at times[c], in metric.lamp_table's
-    layout (columns are cursor positions minus the cursor minimum); each row
-    adds a bincount of the lamp steps since the previous one.
+    layout (columns are cursor positions minus the cursor minimum). One
+    bincount keyed by (row, column) adds each step's lamp increment into the
+    first row whose time is past it, and a cumulative sum down the rows gives
+    the table.
     """
     codes = _trial_rng(seed, trial).integers(0, 4, size=times[-1])
     cursor = np.zeros(len(codes) + 1, dtype=np.int64)
-    np.cumsum((codes == 2).astype(np.int64) - (codes == 3), out=cursor[1:])
+    _CURSOR_STEP.take(codes, out=cursor[1:])
+    np.cumsum(cursor[1:], out=cursor[1:])
     lo = int(cursor.min())
     width = int(cursor.max()) - lo + 1
-    lamps = np.zeros((len(times) + 1, width), dtype=np.int64)
-    up, down = (np.flatnonzero(codes == code) for code in (0, 1))
-    up_at, down_at = cursor[up] - lo, cursor[down] - lo
-    up_end, down_end = np.searchsorted(up, times), np.searchsorted(down, times)
-    u = d = 0
-    for column, (u_end, d_end) in enumerate(zip(up_end, down_end)):
-        lamps[column + 1] = lamps[column] + np.bincount(up_at[u:u_end], minlength=width)
-        lamps[column + 1] -= np.bincount(down_at[d:d_end], minlength=width)
-        u, d = u_end, d_end
+    rows = len(times) + 1
+    # the steps from times[c - 1] (0 for c = 0) up to times[c] land in row c + 1;
+    # key = row * width + cursor - lo, built in place to spare step-long temporaries
+    key = np.repeat(np.arange(width - lo, rows * width - lo, width), np.diff(times, prepend=0))
+    key += cursor[:-1]
+    # each bin sums at most times[-1] increments of +-1, and the memory check
+    # keeps times[-1] far below 2^53: the float64 sums are exact integers
+    increments = np.bincount(key, weights=_LAMP_STEP.take(codes), minlength=rows * width)
+    lamps = np.cumsum(increments.astype(np.int64).reshape(rows, width), axis=0)
     cursors = np.concatenate(([0], cursor[np.asarray(times)])) - lo
-    rows = np.arange(1, len(times) + 1)
-    return metric.distances(lamps, cursors, np.zeros_like(rows), rows), np.abs(lamps[1:]).sum(axis=1)
+    sampled = np.arange(1, rows)
+    return metric.distances(lamps, cursors, np.zeros_like(sampled), sampled), np.abs(lamps[1:]).sum(axis=1)
 
 
 def _usable_cpus() -> int:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from wreathlab import cli
+from wreathlab import cli, embedding
 
 
 def run_cli(capsys, *argv):
@@ -467,6 +467,7 @@ class TestEmbedCommands:
 class TestPipeline:
     def test_reduced_run(self, capsys, tmp_path):
         out_dir = str(tmp_path / "pipe")
+        embedding.shifted_power_tail.cache_clear()  # so every tail series counts
         code, out, _ = run_cli(
             capsys, "pipeline", "--trials", "200", "--tmax", "4096",
             "--seed", "7", "--out", out_dir,
@@ -484,7 +485,9 @@ class TestPipeline:
         assert set(stages) == {"simulate", "fit", "scan", "checks", "write"}
         assert all(seconds >= 0 for seconds in stages.values())
         assert sum(stages.values()) <= manifest["wallClockSeconds"]
-        assert manifest["counters"] == {"walkSteps": 200 * 4096}
+        assert manifest["counters"] == {
+            "walkSteps": 200 * 4096, "normsCertified": 1200, "tailSeries": 21,
+        }
 
 
 def _flag_table(parser, path=()):

@@ -93,6 +93,36 @@ class TestTailSeries:
             _, remainder = emb.shifted_power_tail(3, 40, ALPHA, tol)
             assert remainder <= tol
 
+    def test_cached_value_equals_uncached(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            m0 = int(rng.integers(1, 400))
+            args = (
+                int(rng.integers(0, m0 // 4 + 1)), m0,
+                float(rng.uniform(0.05, 0.499)), float(10.0 ** -rng.integers(6, 13)),
+            )
+            expected = emb.shifted_power_tail.__wrapped__(*args)
+            assert emb.shifted_power_tail(*args) == expected
+            assert emb.shifted_power_tail(*args) == expected  # now from the cache
+
+    @pytest.mark.parametrize("args", [(-1, 10, ALPHA, 1e-9), (5, 10, ALPHA, 1e-9), (1, 0, ALPHA, 1e-9)])
+    def test_refused_input_raises_on_every_call(self, args):
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                emb.shifted_power_tail(*args)
+
+    def test_pipeline_scan_computes_few_series(self):
+        # ball 6 plus the balanced families: 1,200 norms, two tails each
+        elements = emb.ball_elements(6)
+        for prefactor in emb.BALANCED_PREFACTORS:
+            elements += emb.balanced_family(ALPHA, prefactor, emb.BALANCED_MAX_DISTANCE)
+        emb.shifted_power_tail.cache_clear()
+        emb.norm_observations(elements, ALPHA, 1e-6)
+        info = emb.shifted_power_tail.cache_info()
+        assert info.hits + info.misses == 2 * len(elements) == 2400
+        assert info.misses <= 32
+        assert emb.tail_cache_info() == info
+
 
 class TestNorms:
     def test_lamp_generator_is_exactly_one(self):
