@@ -309,9 +309,8 @@ def _subset_for(host_name: str, spec: str):
 
 def _cmd_markov_delayed(ns) -> int:
     host, subset = _subset_for(ns.host, ns.subset)
-    chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(subset)))
-    chain.validate()
-    residuals = markov.chain_residuals(chain)
+    chain = markov.delayed_walk(host, subset)
+    residuals = chain.validate()
     _print_json(
         {
             "host": ns.host,

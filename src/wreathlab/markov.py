@@ -4,8 +4,8 @@ Three jobs live here:
 
 * exact two-sided evaluation of the Markov-type inequality
   E[||f(Z_t) - f(Z_0)||^p] <= K^p t E[||f(Z_1) - f(Z_0)||^p]
-  on explicit chains (matrix powers, and one compensated sum, _weighted_sum,
-  for every side of every check);
+  on explicit chains: markov_type_sides builds a^t step by step up to tmax
+  and takes every side as one fsum (_weighted_sum), once per campaign chain;
 * construction of the delayed walk on a subset A of a host Cayley graph
   (step to an in-subset neighbor with probability 1/degree, stay put with the
   leftover mass) together with the ball-union fattening that makes the delayed
@@ -15,15 +15,12 @@ Three jobs live here:
   compression lower term never exceeds the Markov-type upper term. The
   replay takes a^t as a dense matrix power, the identity at t = 0 (exact in
   any summation order: every entry of a is a multiple of 1/degree, and the
-  hosts have degree 2 or 4) and then takes each pair the chain can couple
-  once, as i <= j: their host distances in one array pass (host.distances),
-  vectorized checks, and fsum over their terms, each formed as in the dense
-  n x n sum and doubled off the diagonal. pi is uniform and a, a^t are
-  exactly symmetric (checked), so (j, i) repeats the float of (i, j), and no
-  bit changes. A p-th power of rho or of an embedding gap that is not finite
-  is refused before any sum. Chain validation checks detailed balance on the
-  nonzeros of a. delayed_walk refuses a chain whose dense matrices would not
-  fit in physical memory.
+  hosts have degree 2 or 4), then sums over each pair the chain can couple
+  once, as i <= j, bit for bit as the dense n x n sum. delayed_walk refuses
+  a chain whose dense matrices would not fit in physical memory, and keeps
+  a off huge pages: its few nonzeros touch a fraction of its 4 KiB pages,
+  while a huge page (numpy asks for them, the kernel grants one only when it
+  has one free) makes the 2 MiB around each touched entry resident.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -32,6 +29,7 @@ bound on the compression exponent, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
+import mmap
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,9 +44,7 @@ __all__ = [
     "chain_residuals",
     "markov_type_sides",
     "random_reversible_chain",
-    "SubsetWalkSpec",
     "delayed_walk",
-    "FatteningReport",
     "folner_fatten",
     "empirical_modulus",
     "ReplayReport",
@@ -76,11 +72,12 @@ class FiniteChain:
     def n(self) -> int:
         return len(self.states)
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, float]:
         residuals = chain_residuals(self)
         for name, value in residuals.items():
             if value > CHAIN_TOL:
                 raise ValidationError(f"chain fails {name}: residual {value:.3e} > {CHAIN_TOL:.1e}")
+        return residuals
 
 
 def chain_residuals(chain: FiniteChain) -> dict[str, float]:
@@ -103,13 +100,16 @@ def chain_residuals(chain: FiniteChain) -> dict[str, float]:
     }
 
 
+def _check_p(p: float) -> None:
+    if not 1 <= p < math.inf:  # nan fails too
+        raise ValidationError("p must be finite and >= 1")
+
+
 def _pairwise_power(points: np.ndarray, p: float) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     np.maximum(sq, 0.0, out=sq)
-    if p == 2.0:
-        return sq
-    return sq ** (p / 2.0)
+    return sq ** (p / 2.0)  # sq ** 1.0 is sq, bit for bit
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -118,19 +118,18 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
 
 
 def markov_type_sides(
-    chain: FiniteChain, points: np.ndarray, p: float, t: int
-) -> tuple[float, float]:
+    chain: FiniteChain, points: np.ndarray, p: float, tmax: int
+) -> tuple[list[float], float]:
     """Both sides of the Markov-type inequality at constant K = 1.
 
-    Returns (lhs, rhs) with
-    lhs = sum_i pi_i (a^t)_ij ||x_i - x_j||^p and rhs = t sum_i pi_i a_ij ||.||^p,
-    so the caller may test lhs <= K^p rhs for any K. Exact matrix power, fsum
-    accumulation.
+    Returns (lhs, rhs) with lhs[t - 1] = sum_i pi_i (a^t)_ij ||x_i - x_j||^p for
+    t = 1..tmax and the one-step rhs = sum_i pi_i a_ij ||.||^p, so the caller
+    may test lhs[t - 1] <= K^p t rhs for any K. a^t is built one step at a
+    time from the identity; every side is one fsum.
     """
-    if t < 1:
-        raise ValidationError("t must be >= 1")
-    if not 1 <= p < math.inf:
-        raise ValidationError("p must be finite and >= 1")
+    if tmax < 1:
+        raise ValidationError("tmax must be >= 1")
+    _check_p(p)
     chain.validate()
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -141,23 +140,25 @@ def markov_type_sides(
         raise ValidationError("points must be finite")
     dp = _pairwise_power(points, p)
     pi = chain.pi[:, None]
-    at = np.linalg.matrix_power(chain.a, t)
-    return (_weighted_sum(pi * at, dp), t * _weighted_sum(pi * chain.a, dp))
+    lhs = []
+    at = np.eye(chain.n)
+    for _ in range(tmax):
+        at = at @ chain.a
+        lhs.append(_weighted_sum(pi * at, dp))
+    return lhs, _weighted_sum(pi * chain.a, dp)
 
 
 def markov_type_campaign(chains: int, max_states: int, tmax: int, seed: int) -> dict:
     """Check the p = 2, K = 1 inequality on a batch of random chains.
 
     Each chain gets a random Euclidean embedding and is tested at every
-    t = 1..tmax, with the matrix power built incrementally. Returns a summary
-    dict; the caller decides whether maxViolation > tolerance is fatal.
+    t = 1..tmax by markov_type_sides. Returns a summary dict; the caller
+    decides whether maxViolation > tolerance is fatal.
     """
     if chains < 1:
         raise ValidationError("chains must be >= 1")
     if max_states < 1:
         raise ValidationError("max_states must be >= 1")
-    if tmax < 1:
-        raise ValidationError("tmax must be >= 1")
     rng = np.random.default_rng(seed)
     max_violation = -math.inf
     worst = None
@@ -165,16 +166,11 @@ def markov_type_campaign(chains: int, max_states: int, tmax: int, seed: int) -> 
     for index in range(chains):
         n = int(rng.integers(1, max_states + 1))
         chain = random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
-        chain.validate()
         dim = int(rng.integers(1, 5))
         points = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
-        dp = _pairwise_power(points, 2.0)
-        pi = chain.pi[:, None]
-        rhs_step = _weighted_sum(pi * chain.a, dp)
-        at = np.eye(n)
-        for t in range(1, tmax + 1):
-            at = at @ chain.a
-            violation = _weighted_sum(pi * at, dp) - t * rhs_step
+        lhs, rhs_step = markov_type_sides(chain, points, 2.0, tmax)
+        for t, value in enumerate(lhs, start=1):
+            violation = value - t * rhs_step
             checks += 1
             if violation > max_violation:
                 max_violation = violation
@@ -219,69 +215,43 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
     return FiniteChain(tuple(range(n)), pi, a)
 
 
-@dataclass(frozen=True)
-class SubsetWalkSpec:
-    """A finite subset of a host Cayley graph, ready for the delayed walk."""
-
-    host: object
-    subset: tuple
-
-    def __post_init__(self):
-        if not self.subset:
-            raise ValidationError("subset must be nonempty")
-        if len(set(self.subset)) != len(self.subset):
-            raise ValidationError("subset has duplicate vertices")
-
-
 # n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
 # of the matrix power and the validation
 _DENSE_ARRAYS = 4
 
 
-def delayed_walk(spec: SubsetWalkSpec) -> FiniteChain:
+def delayed_walk(host, subset: Sequence) -> FiniteChain:
     """The delayed standard walk restricted to the subset.
 
     From x: step to each in-subset neighbor with probability 1/degree, stay at
     x with the remaining mass. Uniform pi is stationary and the chain is
     reversible because in-subset adjacency is symmetric.
     """
-    subset = spec.subset
+    subset = tuple(subset)
     n = len(subset)
     check_physical_memory(_DENSE_ARRAYS * 8 * n * n, f"the dense n x n arrays of {n} states")
+    if not n:
+        raise ValidationError("subset must be nonempty")
     index = {v: i for i, v in enumerate(subset)}
-    deg = spec.host.degree
-    a = np.zeros((n, n))
+    if len(index) != n:
+        raise ValidationError("subset has duplicate vertices")
+    deg = host.degree
+    buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)  # zeros; why off huge pages: module docstring
+    buf.madvise(getattr(mmap, "MADV_NOHUGEPAGE", mmap.MADV_NORMAL))  # the flag is Linux's
+    a = np.frombuffer(buf).reshape(n, n)
     for i, v in enumerate(subset):
         inside = 0
-        for w in spec.host.neighbors(v):
+        for w in host.neighbors(v):
             j = index.get(w)
             if j is not None:
                 a[i, j] += 1.0 / deg
                 inside += 1
         a[i, i] += 1.0 - inside / deg
-    pi = np.full(n, 1.0 / n)
-    return FiniteChain(subset, pi, a)
+    return FiniteChain(subset, np.full(n, 1.0 / n), a)
 
 
-@dataclass(frozen=True)
-class FatteningReport:
-    """A core set, its ball-union fattening, and the overhead ratio."""
-
-    core: tuple
-    fattened: tuple
-    radius: int
-
-    @property
-    def added(self) -> int:
-        return len(self.fattened) - len(self.core)
-
-    @property
-    def ratio(self) -> float:
-        return self.added / len(self.core)
-
-
-def folner_fatten(host, core: Sequence, radius: int) -> FatteningReport:
-    """Union of radius balls around the core set; always contains the core."""
+def folner_fatten(host, core: Sequence, radius: int) -> tuple[tuple, tuple]:
+    """(core, fattened): the sorted core set and its union of radius balls."""
     from .hosts import union_of_balls
 
     if radius < 0:
@@ -289,17 +259,18 @@ def folner_fatten(host, core: Sequence, radius: int) -> FatteningReport:
     core_tuple = tuple(sorted(set(core), key=host.sort_key))
     if not core_tuple:
         raise ValidationError("core set must be nonempty")
-    fattened = tuple(union_of_balls(host, core_tuple, radius))
-    return FatteningReport(core_tuple, fattened, radius)
+    return core_tuple, tuple(union_of_balls(host, core_tuple, radius))
 
 
 def empirical_modulus(distances: Sequence[float], norms: Sequence[float]) -> Callable[[float], float]:
     """Largest nondecreasing minorant: s -> min of norms over distance >= s."""
-    order = np.argsort(np.asarray(distances))
-    d_sorted = np.asarray(distances, dtype=float)[order]
-    n_sorted = np.asarray(norms, dtype=float)[order]
-    suffix = np.minimum.accumulate(n_sorted[::-1])[::-1]
-    d_list = d_sorted.tolist()
+    distances = np.asarray(distances, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    if not distances.size or distances.shape != norms.shape:
+        raise ValidationError("the modulus needs one norm per distance, and at least one")
+    order = np.argsort(distances)
+    suffix = np.minimum.accumulate(norms[order][::-1])[::-1]
+    d_list = distances[order].tolist()
 
     def rho(s: float) -> float:
         i = bisect_left(d_list, s)
@@ -354,16 +325,13 @@ def delayed_walk_replay(
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    if not 1 <= p < math.inf:
-        raise ValidationError("p must be finite and >= 1")
-    fattening = folner_fatten(host, core, t)
-    spec = SubsetWalkSpec(host, fattening.fattened)
-    chain = delayed_walk(spec)
+    _check_p(p)
+    core, fattened = folner_fatten(host, core, t)
+    chain = delayed_walk(host, fattened)
     chain.validate()
-    n = chain.n
-    vertices = chain.states
+    n, vertices = chain.n, chain.states
     index = {v: i for i, v in enumerate(vertices)}
-    core_indices = [index[v] for v in fattening.core]
+    core_indices = [index[v] for v in core]
 
     points = np.asarray([emb(v) for v in vertices], dtype=float)
     if points.ndim == 1:
@@ -439,7 +407,7 @@ def delayed_walk_replay(
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
     # so the start does not matter
-    start = fattening.core[0]
+    start = core[0]
     deg = host.degree
     dist_now = {start: 1.0}
     for _ in range(t):
@@ -479,7 +447,7 @@ def delayed_walk_replay(
     return ReplayReport(
         core_size=len(core_indices),
         fattened_size=n,
-        ratio=fattening.ratio,
+        ratio=(len(fattened) - len(core)) / len(core),
         t=t,
         p=p,
         lipschitz_max=lipschitz_max,
@@ -521,12 +489,11 @@ def compression_bound_sides(
     rho_value: float, m: float, delta: float, p: float, t: int
 ) -> tuple[float, float]:
     """(rho_value, m delta^{-1/p} t^{1/p}); the caller asserts lhs <= rhs."""
-    if m <= 0:
-        raise ValidationError("m must be positive")
+    if not 0 < m < math.inf:
+        raise ValidationError("m must be positive and finite")
     if not 0 < delta <= 1:
         raise ValidationError("delta must lie in (0, 1]")
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    _check_p(p)
     if t < 1:
         raise ValidationError("t must be >= 1")
     return (rho_value, m * delta ** (-1.0 / p) * t ** (1.0 / p))

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 DEFAULT_BALL_CAP = 10_000_000
+# built once: neighbors runs for every vertex of every search
+_GENERATORS = canonical_generators()
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +136,7 @@ def distances(lamps: np.ndarray, cursors: np.ndarray, i: np.ndarray, j: np.ndarr
 
 def neighbors(g: GroupElement) -> list[GroupElement]:
     """The four Cayley-graph neighbors g * s."""
-    return [multiply(g, s) for s in canonical_generators()]
+    return [multiply(g, s) for s in _GENERATORS]
 
 
 def distance_bfs(a: GroupElement, b: GroupElement, max_radius: int) -> int:

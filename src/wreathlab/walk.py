@@ -277,8 +277,8 @@ def estimate_beta(sample: WalkSample, statistic: str = "mean") -> BetaFit:
 
 def estimate_tail(sample: WalkSample, c: float, beta: float) -> TailEstimate:
     """Exceedance frequency of the threshold c t^beta at every sampled time."""
-    if c <= 0:
-        raise ValidationError("c must be positive")
+    if not 0 < c < math.inf:  # nan fails too
+        raise ValidationError("c must be positive and finite")
     if not 0 < beta <= 1:
         raise ValidationError("beta must lie in (0, 1]")
     delta_hat: dict[int, float] = {}

@@ -74,17 +74,15 @@ def test_criterion_3_delayed_walk_validity_and_replay():
             ball = hosts.union_of_balls(host, [origin], int(rng.integers(1, radius_hi + 1)))
             keep = rng.random(len(ball)) < 0.5
             subset = [x for x, k in zip(ball, keep) if k] or [ball[0]]
-            chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(subset)))
-            chain.validate()
-            worst = max(worst, max(markov.chain_residuals(chain).values()))
+            chain = markov.delayed_walk(host, subset)
+            residuals = chain.validate()
+            assert residuals == markov.chain_residuals(chain)
+            worst = max(worst, max(residuals.values()))
             runs += 1
     wreath_chain = markov.delayed_walk(
-        markov.SubsetWalkSpec(
-            hosts.host_by_name("zwrz"), tuple(hosts.wreath_truncation(2, 2, 1))
-        )
+        hosts.host_by_name("zwrz"), hosts.wreath_truncation(2, 2, 1)
     )
-    wreath_chain.validate()
-    worst = max(worst, max(markov.chain_residuals(wreath_chain).values()))
+    worst = max(worst, max(wreath_chain.validate().values()))
 
     replays = []
     z = hosts.host_by_name("z")

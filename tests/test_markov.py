@@ -1,6 +1,7 @@
 """Finite reversible chains, the delayed subset walk, and the replay bounds."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ def two_state_flip():
 
 class TestChainValidation:
     def test_flip_chain_valid(self):
-        two_state_flip().validate()
+        chain = two_state_flip()
+        assert chain.validate() == markov.chain_residuals(chain)
 
     def test_residuals_zero_for_exact_chain(self):
         residuals = markov.chain_residuals(two_state_flip())
@@ -66,8 +68,8 @@ class TestResidualsOracle:
 
     def test_wreath_delayed_walk(self):
         host = hosts.host_by_name("zwrz")
-        fattened = markov.folner_fatten(host, hosts.wreath_truncation(1, 1, 1), 1).fattened
-        chain = markov.delayed_walk(markov.SubsetWalkSpec(host, fattened))
+        _, fattened = markov.folner_fatten(host, hosts.wreath_truncation(1, 1, 1), 1)
+        chain = markov.delayed_walk(host, fattened)
         assert markov.chain_residuals(chain) == dense_residuals(chain)
 
     def test_broken_detailed_balance_keeps_its_residual(self):
@@ -98,20 +100,20 @@ class TestTypeInequality:
         points = np.array([[0.0], [1.0]])
         # odd powers of the flip move every state, so lhs stays 1
         lhs, rhs = markov.markov_type_sides(chain, points, 2.0, 3)
-        assert lhs == pytest.approx(1.0, abs=1e-15)
-        assert rhs == pytest.approx(3.0, abs=1e-15)
+        assert lhs[2] == pytest.approx(1.0, abs=1e-15)
+        assert 3 * rhs == pytest.approx(3.0, abs=1e-15)
 
     def test_t_one_is_equality(self):
         chain = markov.random_reversible_chain(6, 3)
         points = np.random.default_rng(0).standard_normal((6, 3))
         lhs, rhs = markov.markov_type_sides(chain, points, 2.0, 1)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == [pytest.approx(rhs, rel=1e-12)]
 
     def test_constant_embedding_gives_zero(self):
         chain = markov.random_reversible_chain(5, 1)
         points = np.ones((5, 2))
         lhs, rhs = markov.markov_type_sides(chain, points, 2.0, 7)
-        assert (lhs, rhs) == (0.0, 0.0)
+        assert (lhs, rhs) == ([0.0] * 7, 0.0)
 
     def test_requires_valid_inputs(self):
         chain = two_state_flip()
@@ -140,47 +142,131 @@ class TestTypeInequality:
         chain = markov.random_reversible_chain(10, 6)
         points = np.random.default_rng(6).standard_normal((10, 3))
         assert markov.markov_type_sides(chain, points, 2.0, 1) == (
-            8.68228107690547, 8.68228107690547
+            [8.68228107690547], 8.68228107690547
         )
+
+
+def dense_sides(chain, points, p, t):
+    """Both sides at time t as dense formulas over np.linalg.matrix_power."""
+    dp = ((points[:, None] - points[None]) ** 2).sum(axis=-1) ** (p / 2.0)
+    pi = chain.pi[:, None]
+    at = np.linalg.matrix_power(chain.a, t)
+    return (
+        math.fsum((pi * at * dp).ravel().tolist()),
+        math.fsum((pi * chain.a * dp).ravel().tolist()),
+    )
+
+
+class TestSidesOracle:
+    """markov_type_sides, which builds a^t step by step, against matrix_power."""
+
+    @pytest.mark.parametrize(
+        "host_name, subset, coordinates",
+        [
+            ("z", hosts.interval(-6, 6), lambda v: (v,)),
+            ("z2", hosts.box(-2, 2, -1, 2), lambda v: v),
+            ("zwrz", hosts.wreath_truncation(1, 1, 1),
+             lambda g: (g.cursor,) + tuple(g.lamps.value_at(p) for p in range(-2, 3))),
+        ],
+    )
+    def test_equal_on_delayed_walks(self, host_name, subset, coordinates):
+        # every entry of a^t is a multiple of degree^-t, exact in any order of
+        # products and sums, and the integer points make every |x_i - x_j|^2 exact
+        chain = markov.delayed_walk(hosts.host_by_name(host_name), subset)
+        points = np.array([coordinates(v) for v in chain.states], dtype=float)
+        for p in (1.0, 2.0):
+            lhs, rhs = markov.markov_type_sides(chain, points, p, 8)
+            assert len(lhs) == 8
+            for t in range(1, 9):
+                want_lhs, want_rhs = dense_sides(chain, points, p, t)
+                assert lhs[t - 1] == want_lhs, (p, t)
+                assert rhs == want_rhs
+
+    def test_random_chains_within_rounding(self):
+        # each entry of a product of nonnegative n x n matrices is within
+        # gamma_n ~ n u of its exact value, relatively (u = 2^-53), so a power
+        # formed by t - 1 products, step by step or by squaring, is within about
+        # (t - 1) n u of a^t entrywise. The sums have nonnegative terms, each
+        # two rounded products, and fsum rounds once: the two lhs differ by at
+        # most (2 t n + 6) u of the dense one.
+        rng = np.random.default_rng(2)
+        for seed in range(40):
+            n = 1 + seed % 10
+            chain = markov.random_reversible_chain(n, seed)
+            points = rng.integers(-5, 6, size=(n, 3)).astype(float)
+            lhs, rhs = markov.markov_type_sides(chain, points, 2.0, 8)
+            for t in range(1, 9):
+                want_lhs, want_rhs = dense_sides(chain, points, 2.0, t)
+                assert abs(lhs[t - 1] - want_lhs) <= (2 * t * n + 6) * 2.0**-53 * want_lhs
+                assert rhs == want_rhs
 
 
 class TestDelayedWalk:
     def test_interval_matrix_is_exact(self):
         host = hosts.host_by_name("z")
-        chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(hosts.interval(0, 2))))
+        chain = markov.delayed_walk(host, hosts.interval(0, 2))
         expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
         assert np.array_equal(chain.a, expected)
         assert np.array_equal(chain.pi, np.full(3, 1 / 3))
 
     def test_interior_states_have_no_delay(self):
         host = hosts.host_by_name("z")
-        chain = markov.delayed_walk(markov.SubsetWalkSpec(host, tuple(hosts.interval(-5, 5))))
+        chain = markov.delayed_walk(host, hosts.interval(-5, 5))
         interior = chain.states.index(0)
         assert chain.a[interior, interior] == 0.0
 
     def test_singleton_subset_is_absorbing(self):
         host = hosts.host_by_name("z")
-        chain = markov.delayed_walk(markov.SubsetWalkSpec(host, (0,)))
+        chain = markov.delayed_walk(host, (0,))
         assert chain.a == pytest.approx(np.array([[1.0]]))
 
     def test_disconnected_subset_still_reversible(self):
         host = hosts.host_by_name("z")
-        chain = markov.delayed_walk(markov.SubsetWalkSpec(host, (0, 10)))
+        chain = markov.delayed_walk(host, (0, 10))
         chain.validate()
 
     def test_grid_subset(self):
         host = hosts.host_by_name("z2")
-        chain = markov.delayed_walk(
-            markov.SubsetWalkSpec(host, tuple(hosts.box(0, 1, 0, 1)))
-        )
+        chain = markov.delayed_walk(host, hosts.box(0, 1, 0, 1))
         chain.validate()
         # corner of the 2x2 box keeps two of four moves inside
         assert chain.a[0, 0] == 0.5
 
     def test_rejects_duplicates(self):
         host = hosts.host_by_name("z")
-        with pytest.raises(ValidationError):
-            markov.SubsetWalkSpec(host, (0, 0, 1))
+        with pytest.raises(ValidationError, match="duplicate"):
+            markov.delayed_walk(host, (0, 0, 1))
+
+    def test_rejects_empty_subset(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            markov.delayed_walk(hosts.host_by_name("z"), ())
+
+    def test_matrix_stays_off_huge_pages(self):
+        # 2,001 states, 32 MB: numpy would ask huge pages for an array this large
+        chain = markov.delayed_walk(hosts.host_by_name("z"), hosts.interval(-1000, 1000))
+        # numpy's advice covers the 2 MiB-aligned middle of an array, not its ends
+        eligible = _thp_eligible(chain.a.ctypes.data + chain.a.nbytes // 2)
+        if eligible is None:
+            pytest.skip("no THPeligible field in /proc/self/smaps")
+        assert eligible == 0
+        assert np.array_equal(np.diag(chain.a)[[0, 1, -1]], [0.5, 0.0, 0.5])
+
+
+def _thp_eligible(address: int):
+    """THPeligible of the mapping that holds address, or None where the kernel does not say."""
+    try:
+        with open("/proc/self/smaps", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    inside = False
+    for line in lines:
+        span = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+        if span:
+            inside = int(span.group(1), 16) <= address < int(span.group(2), 16)
+        elif inside and line.startswith("THPeligible:"):
+            return int(line.split()[1])
+    return None
 
 
 class TestHostDistances:
@@ -196,7 +282,7 @@ class TestHostDistances:
     )
     def test_equal_to_scalar_on_a_fattened_set(self, host_name, core, radius):
         host = hosts.host_by_name(host_name)
-        vertices = markov.folner_fatten(host, core, radius).fattened
+        _, vertices = markov.folner_fatten(host, core, radius)
         i, j = np.triu_indices(len(vertices))
         got = host.distances(vertices, i, j)
         assert got.dtype == np.int64
@@ -208,15 +294,19 @@ class TestHostDistances:
 class TestFattening:
     def test_single_point_interval(self):
         host = hosts.host_by_name("z")
-        report = markov.folner_fatten(host, hosts.interval(0, 0), 2)
-        assert sorted(report.fattened) == [-2, -1, 0, 1, 2]
-        assert report.added == 4
+        core, fattened = markov.folner_fatten(host, hosts.interval(0, 0), 2)
+        assert sorted(fattened) == [-2, -1, 0, 1, 2]
+        assert len(fattened) - len(core) == 4
 
     def test_interval_growth_ratio(self):
         host = hosts.host_by_name("z")
         n, t = 30, 3
-        report = markov.folner_fatten(host, hosts.interval(-n, n), t)
-        assert report.added == 2 * t
+        core, fattened = markov.folner_fatten(host, hosts.interval(-n, n), t)
+        assert len(fattened) - len(core) == 2 * t
+        # the replay reports the fattening's overhead ratio
+        report = markov.delayed_walk_replay(
+            host, hosts.interval(-n, n), t, lambda v: (float(v),), lambda s: s
+        )
         assert report.ratio == pytest.approx(2 * t / (2 * n + 1))
 
     @pytest.mark.parametrize("radius", range(6))
@@ -228,8 +318,23 @@ class TestFattening:
     def test_core_is_contained(self):
         host = hosts.host_by_name("z2")
         core = hosts.box(-2, 2, -2, 2)
-        report = markov.folner_fatten(host, core, 2)
-        assert set(core) <= set(report.fattened)
+        _, fattened = markov.folner_fatten(host, core, 2)
+        assert set(core) <= set(fattened)
+
+
+class TestEmpiricalModulus:
+    def test_suffix_minimum(self):
+        rho = markov.empirical_modulus([3, 1, 2, 3], [5.0, 2.0, 4.0, 3.0])
+        assert [rho(s) for s in (0.5, 1, 1.5, 2, 3)] == [2.0, 2.0, 3.0, 3.0, 3.0]
+        with pytest.raises(ValidationError, match="beyond"):
+            rho(3.5)
+
+    @pytest.mark.parametrize(
+        "distances, norms", [([], []), ([1, 2], [1.0]), ([1], [1.0, 2.0])]
+    )
+    def test_rejects_empty_or_unpaired_inputs(self, distances, norms):
+        with pytest.raises(ValidationError, match="one norm per distance"):
+            markov.empirical_modulus(distances, norms)
 
 
 class TestReplay:
@@ -315,8 +420,8 @@ class TestReplay:
 
 def dense_replay(host, core, t, emb, rho, p=2.0):
     """The replay's sums as dense n x n formulas over the full matrix power."""
-    fattening = markov.folner_fatten(host, core, t)
-    chain = markov.delayed_walk(markov.SubsetWalkSpec(host, fattening.fattened))
+    core, fattened = markov.folner_fatten(host, core, t)
+    chain = markov.delayed_walk(host, fattened)
     n, vertices, pi = chain.n, chain.states, chain.pi
     points = np.array([emb(v) for v in vertices], dtype=float).reshape(n, -1)
     at = np.linalg.matrix_power(chain.a, t)
@@ -332,7 +437,7 @@ def dense_replay(host, core, t, emb, rho, p=2.0):
     for i, j in zip(*np.nonzero(coupled)):
         rho_p[i, j] = float(rho(float(host_dist[i, j]))) ** p
     emb_p = emb_dist**p
-    core_rows = [vertices.index(v) for v in fattening.core]
+    core_rows = [vertices.index(v) for v in core]
 
     def weighted(w, x):
         return math.fsum((pi[:, None] * w * x).ravel().tolist())
@@ -340,7 +445,7 @@ def dense_replay(host, core, t, emb, rho, p=2.0):
     return {
         "core_size": len(core_rows),
         "fattened_size": n,
-        "ratio": fattening.ratio,
+        "ratio": (len(fattened) - len(core)) / len(core),
         "t": t,
         "p": p,
         "lipschitz_max": float(emb_dist[coupled & (host_dist == 1)].max(initial=0.0)),
@@ -439,3 +544,10 @@ class TestBoundCalculator:
         lhs, rhs = markov.compression_bound_sides(3.0, 1.0, 0.25, 2.0, 16)
         assert lhs == 3.0
         assert rhs == pytest.approx(1.0 * 0.25 ** (-0.5) * 16 ** 0.5)
+
+    @pytest.mark.parametrize(
+        "m, p", [(math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_display_sides_reject_bad_m_or_p(self, m, p):
+        with pytest.raises(ValidationError):
+            markov.compression_bound_sides(1.0, m, 0.5, p, 4)

@@ -283,6 +283,13 @@ class TestEstimateTail:
         with pytest.raises(ValidationError):
             walk.estimate_tail(sample, c=1.0, beta=1.5)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_rejects_non_finite_constant(self, c):
+        # such a threshold is never met, so it would report an all-zero table
+        sample = walk.simulate("z", (16,), 10, 0)
+        with pytest.raises(ValidationError, match="finite"):
+            walk.estimate_tail(sample, c=c, beta=0.5)
+
 
 class TestRuleConstant:
     def test_definition(self, zwrz_sample):
