@@ -349,6 +349,39 @@ class TestMarkovCommands:
         assert time.perf_counter() - start < 5.0
 
 
+# sha256 of the whole stdout of each stdout-only subcommand at a small size; any
+# change to a key, a value or the layout moves one of them
+STDOUT_SHA256 = [
+    (("metric", "--a", "1; 0:1, 1:-2", "--b", "0;"),
+     "623c25c554fcc38221567c892a9b07ddaedad95c295f683cfaae1ced31e0f694"),
+    (("metric", "--a", "1; 0:1, 1:-2", "--b", "0;", "--oracle"),
+     "2e51d86198caf44e208b3ad28941f344216cb419f7af4d55fb22d653e58cbd3a"),
+    (("markov", "delayed", "--host", "z2", "--subset", "0:1:0:1"),
+     "fac93955fb107767545b228d77362b9973d88696fc05610ce41f6f8ab6eacc30"),
+    (("markov", "replay", "--host", "z", "--F", "0:5", "--t", "2"),
+     "d20eba37f171869657826ce5885b3036be3904a22cf8a4c980aad3470056135f"),
+    (("markov", "replay", "--host", "z", "--F", "0:5", "--t", "2", "--p", "1.5"),
+     "f7b32832cbe91f836b410908416c0015b08380ca67fc0d7c9f101c1e40e660fc"),
+    (("markov", "replay", "--host", "z2", "--F", "0:2:0:2", "--t", "2"),
+     "7a7af2c5ec1388008fb2dd9027561f8c2e696301153d51c282627aa02ee58a7a"),
+    (("markov", "replay", "--host", "zwrz-trunc", "--F", "1:1:1", "--t", "1"),
+     "e04966647c96c42860a1771fc226fc667414dbf71284c7b037691bd52c5584bb"),
+    (("embed", "pair", "--a", "1; 0:1", "--b", "0;"),
+     "39438e1c4ff75f8417f0ec69df401636ffd0ab8022a5fafc7d517bee69d1b176"),
+    (("bound", "--beta", "0.75"),
+     "19606afd4863c37feb40f3d1a023ae2b40edf76e675e0a07dfcac183dbe0a4c6"),
+    (("bound", "--iterated-k", "3"),
+     "5e459f893dd22b41816c32ac3ff8a1e65d5697ae9c12a00bfac0b90172f2bbf0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_SHA256, ids=[" ".join(a) for a, _ in STDOUT_SHA256])
+def test_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestEmbedCommands:
     def test_norms(self, capsys):
         code, out, _ = run_cli(capsys, "embed", "norms", "--alpha", "0.45")
