@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,13 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__, embedding, hosts, markov, metric, walk
-from .errors import (
-    EstimationError,
-    InvariantViolation,
-    ResourceLimitError,
-    ValidationError,
-    WreathError,
-)
+from .errors import EstimationError, InvariantViolation, ResourceLimitError, ValidationError, WreathError
 from .group import GroupElement, element_from_text
 
 # name -> (type, default) of each option that a flag or --config may set
@@ -46,6 +41,13 @@ OPTIONS = {
     "p": (float, 2.0),
     "t": (int, 2),
     "out": (str, "./out"),
+}
+
+# --host -> (host name, subset builder, spec format) of the markov subcommands
+_SUBSETS = {
+    "z": ("z", hosts.interval, "lo:hi"),
+    "z2": ("z2", hosts.box, "x_lo:x_hi:y_lo:y_hi"),
+    "zwrz-trunc": ("zwrz", hosts.wreath_truncation, "cursor:support:value"),
 }
 
 
@@ -182,6 +184,18 @@ def _compression_csv(report: embedding.CompressionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(report, *skip: str) -> dict:
+    """A dataclass's or NamedTuple's fields under their camelCase JSON names,
+    less those named in skip."""
+    names = getattr(report, "_fields", None) or [f.name for f in dataclasses.fields(report)]
+    payload = {}
+    for name in names:
+        if name not in skip:
+            head, *rest = name.split("_")
+            payload[head + "".join(word.capitalize() for word in rest)] = getattr(report, name)
+    return payload
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -193,12 +207,7 @@ def _cmd_metric(ns) -> int:
     a = element_from_text(ns.a)
     b = element_from_text(ns.b)
     witness = metric.distance(a, b)
-    payload = {
-        "total": witness.total,
-        "lampCost": witness.lamp_cost,
-        "travelCost": witness.travel_cost,
-        "direction": witness.direction,
-    }
+    payload = _fields(witness)
     if ns.oracle:
         max_radius = ns.max_radius if ns.max_radius is not None else witness.total
         oracle = metric.distance_bfs(a, b, max_radius)
@@ -248,13 +257,11 @@ def _cmd_walk(ns) -> int:
     calibration_beta = 0.75 if group == "zwrz" else 0.5
     reference, c, tail = _calibrated_tail(sample, calibration_beta)
     summary = {
+        **_fields(fit, "stderr"),
         "group": group,
         "seed": seed,
         "trials": trials,
         "times": list(sample.times),
-        "betaHat": fit.beta_hat,
-        "interceptHat": fit.intercept_hat,
-        "r2": fit.r2,
         "betaCI": [fit.beta_hat - 2 * fit.stderr, fit.beta_hat + 2 * fit.stderr],
         "medianBetaHat": fit_median.beta_hat,
         "tailConstant": c,
@@ -287,24 +294,15 @@ def _cmd_markov_verify(ns) -> int:
     return 0
 
 
-def _subset_for(host_name: str, spec: str):
+def _subset_for(host_flag: str, spec: str):
+    name, build, form = _SUBSETS[host_flag]
     try:
         parts = [int(tok) for tok in spec.split(":")]
     except ValueError:
         raise ValidationError(f"subset spec {spec!r} must be colon-separated integers") from None
-    if host_name == "z":
-        if len(parts) != 2:
-            raise ValidationError("z subset spec is lo:hi")
-        return hosts.host_by_name("z"), hosts.interval(*parts)
-    if host_name == "z2":
-        if len(parts) != 4:
-            raise ValidationError("z2 subset spec is x_lo:x_hi:y_lo:y_hi")
-        return hosts.host_by_name("z2"), hosts.box(*parts)
-    if host_name == "zwrz-trunc":
-        if len(parts) != 3:
-            raise ValidationError("zwrz-trunc subset spec is cursor:support:value")
-        return hosts.host_by_name("zwrz"), hosts.wreath_truncation(*parts)
-    raise ValidationError(f"unknown host {host_name!r}")
+    if len(parts) != form.count(":") + 1:
+        raise ValidationError(f"{host_flag} subset spec is {form}")
+    return hosts.host_by_name(name), build(*parts)
 
 
 def _cmd_markov_delayed(ns) -> int:
@@ -341,28 +339,11 @@ def _cmd_markov_replay(ns) -> int:
         emb = lambda v: (float(v[0]), float(v[1]))
         rho = lambda s: s / math.sqrt(2.0)  # L1 arguments, L2 gaps
     else:
-        span = max(abs(v) for g in core for v in (g.cursor, *g.lamps.support())) if core else 0
+        span = max(abs(v) for g in core for v in (g.cursor, *g.lamps.support()))
         emb = _wreath_demo_embedding(span + ns.t)
         rho = None  # empirical modulus of the demo embedding
     report = markov.delayed_walk_replay(host, core, ns.t, emb, rho, p=ns.p)
-    payload = {
-        "host": ns.host,
-        "coreSize": report.core_size,
-        "fattenedSize": report.fattened_size,
-        "ratio": report.ratio,
-        "t": report.t,
-        "p": report.p,
-        "lipschitzMax": report.lipschitz_max,
-        "chainLower": report.chain_lower,
-        "restrictedAvg": report.restricted_avg,
-        "fullAvg": report.full_avg,
-        "markovLhs": report.markov_lhs,
-        "markovRhs": report.markov_rhs,
-        "upper": report.upper,
-        "slack": dict(report.slack),
-        "pass": True,
-    }
-    _print_json(payload)
+    _print_json({**_fields(report, "free_term"), "host": ns.host, "slack": dict(report.slack), "pass": True})
     return 0
 
 
@@ -417,7 +398,7 @@ def _scan_elements(spec: str, alpha: float, count: int, seed: int) -> list[Group
             family = embedding.pure_lamp_family(int(first or "3"), min(int(second or "50"), count))
         elif head == "balanced":
             prefactor = float(arg or "1")
-            family = embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
+            family = embedding.balanced_family(alpha, prefactor)
         else:
             raise ValidationError(f"unknown sampler {spec!r}")
     except ValueError:
@@ -434,11 +415,8 @@ def _cmd_embed_scan(ns) -> int:
     elements = _scan_elements(ns.sampler, alpha, count, ns.seed)
     report = embedding.compression_scan(alpha, elements, eps)
     summary = {
-        "alpha": alpha,
+        **_fields(report, "observations"),
         "count": len(report.observations),
-        "fittedExponent": report.fitted_exponent,
-        "fittedLowerConstant": report.fitted_lower_constant,
-        "lipschitzMax": report.lipschitz_max,
         "lowerShapeExponent": embedding.lower_shape_exponent(alpha),
     }
     sink.add("compression_observations.csv", _compression_csv(report))
@@ -487,10 +465,11 @@ def _cmd_pipeline(ns) -> int:
     with sink.stage("scan"):
         scan_elements = embedding.ball_elements(6)
         for prefactor in embedding.BALANCED_PREFACTORS:
-            scan_elements += embedding.balanced_family(alpha, prefactor, embedding.BALANCED_MAX_DISTANCE)
+            scan_elements += embedding.balanced_family(alpha, prefactor)
         tail_series = embedding.tail_cache_info().misses
-        observations = embedding.norm_observations(scan_elements, alpha, eps)
+        scan = embedding.compression_scan(alpha, scan_elements, eps)
         sink.counters["tailSeries"] = embedding.tail_cache_info().misses - tail_series
+        observations = scan.observations
         sink.counters["normsCertified"] = sum(bound <= eps for _, _, bound in observations)
         rho_hat = markov.empirical_modulus(
             [d for d, _, _ in observations], [v for _, v, _ in observations]
@@ -501,7 +480,7 @@ def _cmd_pipeline(ns) -> int:
         for t in tested:
             threshold = c * t**fit.beta_hat
             lhs = rho_hat(threshold)
-            _, rhs = markov.compression_bound_sides(lhs, 1.0, delta_min, 2.0, t)
+            rhs = markov.compression_bound(delta_min, t)
             checks.append(
                 {"t": t, "threshold": threshold, "rhoHat": lhs, "bound": rhs, "pass": lhs <= rhs}
             )
@@ -522,12 +501,10 @@ def _cmd_pipeline(ns) -> int:
         "checks": checks,
         "pass": True,
     }
-    with sink.stage("scan"):
-        scan_report = embedding.compression_report(alpha, observations)
     with sink.stage("write"):
         sink.add("walk_samples.csv", _walk_csv(sample))
         sink.add("walk_tail.csv", _tail_csv(tail))
-        sink.add("compression_observations.csv", _compression_csv(scan_report))
+        sink.add("compression_observations.csv", _compression_csv(scan))
         sink.add("pipeline_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     sink.flush()
     _print_json(summary)
@@ -574,12 +551,12 @@ def build_parser() -> _Parser:
     p_verify.set_defaults(func=_cmd_markov_verify)
 
     p_delayed = markov_sub.add_parser("delayed", help="build and validate a subset walk")
-    p_delayed.add_argument("--host", choices=("z", "z2", "zwrz-trunc"), required=True)
+    p_delayed.add_argument("--host", choices=tuple(_SUBSETS), required=True)
     p_delayed.add_argument("--subset", required=True)
     p_delayed.set_defaults(func=_cmd_markov_delayed)
 
     p_replay = markov_sub.add_parser("replay", help="replay the sandwich on one instance")
-    p_replay.add_argument("--host", choices=("z", "z2", "zwrz-trunc"), required=True)
+    p_replay.add_argument("--host", choices=tuple(_SUBSETS), required=True)
     p_replay.add_argument("--F", required=True, help="core-set spec, same format as --subset")
     _add_options(p_replay, "t", "p")
     p_replay.set_defaults(func=_cmd_markov_replay)
@@ -640,9 +617,6 @@ def run(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 3
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except WreathError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

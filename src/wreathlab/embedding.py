@@ -53,7 +53,6 @@ __all__ = [
     "CompressionReport",
     "norm_observations",
     "fit_exponent",
-    "compression_report",
     "compression_scan",
     "ball_elements",
     "pure_cursor_family",
@@ -275,26 +274,20 @@ def fit_exponent(observations: Sequence[tuple[int, float, float]]) -> tuple[floa
     return (float(slope), float(intercept))
 
 
-def compression_report(
-    alpha: float, observations: Sequence[tuple[int, float, float]]
-) -> CompressionReport:
-    """Fit the shape of (distance, norm, error bound) observations.
+def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> CompressionReport:
+    """Record (distance, certified norm, error bound) of each element, fit the shape.
 
     fitted_lower_constant is the smallest ratio norm / distance^shape for the
     lower-bound shape exponent; lipschitz_max is the largest norm / distance.
     """
+    alpha = _check_alpha(alpha)
+    eps = _check_eps(eps)
+    observations = norm_observations(elements, alpha, eps)
     slope, _ = fit_exponent(observations)
     shape = lower_shape_exponent(alpha)
     lower_constant = min(v / d**shape for d, v, _ in observations)
     lipschitz_max = max(v / d for d, v, _ in observations)
     return CompressionReport(alpha, tuple(observations), slope, lower_constant, lipschitz_max)
-
-
-def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> CompressionReport:
-    """Record (distance, certified norm) of each element, fit the shape."""
-    alpha = _check_alpha(alpha)
-    eps = _check_eps(eps)
-    return compression_report(alpha, norm_observations(elements, alpha, eps))
 
 
 def ball_elements(radius: int) -> list[GroupElement]:
@@ -318,8 +311,9 @@ def pure_lamp_family(spread: int, max_mass: int) -> list[GroupElement]:
     return [GroupElement(LampConfig(((spread, w),)), 0) for w in range(1, max_mass + 1)]
 
 
-def balanced_family(alpha: float, prefactor: float, max_distance: int) -> list[GroupElement]:
-    """Lamp mass ~ prefactor * spread^(1 + alpha) spread evenly over 1..spread.
+def balanced_family(alpha: float, prefactor: float) -> list[GroupElement]:
+    """Lamp mass ~ prefactor * spread^(1 + alpha) spread evenly over 1..spread,
+    up to distance BALANCED_MAX_DISTANCE.
 
     These are the elements whose travel and lamp costs trade off at the
     lower-bound shape exponent; distance is exactly 2 spread + mass.
@@ -331,7 +325,7 @@ def balanced_family(alpha: float, prefactor: float, max_distance: int) -> list[G
     m = 1
     while True:
         mass = max(m, round(prefactor * m ** (1 + alpha)))
-        if 2 * m + mass > max_distance:
+        if 2 * m + mass > BALANCED_MAX_DISTANCE:
             break
         base, extra = divmod(mass, m)
         entries = tuple(
@@ -351,7 +345,7 @@ def worst_balanced_exponent(alpha: float, eps: float = 1e-6) -> tuple[float, dic
     """
     fits: dict[float, float] = {}
     for prefactor in BALANCED_PREFACTORS:
-        family = balanced_family(alpha, prefactor, BALANCED_MAX_DISTANCE)
+        family = balanced_family(alpha, prefactor)
         observations = norm_observations(family, alpha, eps)
         slope, _ = fit_exponent(observations)
         fits[prefactor] = slope

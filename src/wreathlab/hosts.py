@@ -34,7 +34,6 @@ __all__ = [
 class ZLine:
     """The integers with steps of one."""
 
-    name = "z"
     degree = 2
 
     def neighbors(self, v: int) -> list[int]:
@@ -54,7 +53,6 @@ class ZLine:
 class ZGrid:
     """The square grid: two independent integer coordinates, L1 metric."""
 
-    name = "z2"
     degree = 4
 
     def neighbors(self, v: tuple[int, int]) -> list[tuple[int, int]]:
@@ -75,7 +73,6 @@ class ZGrid:
 class WreathCayley:
     """The wreath product's Cayley graph under the canonical four generators."""
 
-    name = "zwrz"
     degree = 4
 
     def neighbors(self, v: GroupElement) -> list[GroupElement]:
@@ -102,15 +99,23 @@ def host_by_name(name: str):
         raise ValidationError(f"unknown host {name!r}; expected one of {sorted(_HOSTS)}") from None
 
 
+def _check_count(count: int, what: str) -> None:
+    """Refuse, before it is built, a vertex set over metric.DEFAULT_BALL_CAP."""
+    if count > metric.DEFAULT_BALL_CAP:
+        raise ResourceLimitError(f"{what} would have more than {metric.DEFAULT_BALL_CAP} elements, the cap")
+
+
 def interval(lo: int, hi: int) -> list[int]:
     if lo > hi:
         raise ValidationError("empty interval")
+    _check_count(hi - lo + 1, "interval")
     return list(range(lo, hi + 1))
 
 
 def box(x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list[tuple[int, int]]:
     if x_lo > x_hi or y_lo > y_hi:
         raise ValidationError("empty box")
+    _check_count((x_hi - x_lo + 1) * (y_hi - y_lo + 1), "box")
     return [(x, y) for x in range(x_lo, x_hi + 1) for y in range(y_lo, y_hi + 1)]
 
 
@@ -119,12 +124,11 @@ def wreath_truncation(max_cursor: int, max_support: int, max_value: int) -> list
     in [-max_support, max_support], and values in [-max_value, max_value]."""
     if min(max_cursor, max_support, max_value) < 0:
         raise ValidationError("truncation bounds must be nonnegative")
-    count = (2 * max_value + 1) ** (2 * max_support + 1) * (2 * max_cursor + 1)
-    if count > metric.DEFAULT_BALL_CAP:
-        raise ResourceLimitError(
-            f"truncation has {count} elements, over the cap {metric.DEFAULT_BALL_CAP}"
-        )
-    positions = range(-max_support, max_support + 1)
+    # a power of 3 or more past the cap's bit length is over the cap anyway, and
+    # clamping the exponent there keeps the count a small integer
+    exponent = min(2 * max_support + 1, metric.DEFAULT_BALL_CAP.bit_length())
+    _check_count((2 * max_value + 1) ** exponent * (2 * max_cursor + 1), "truncation")
+    positions = range(-max_support, max_support + 1) if max_value else ()  # all lamps off
     values = range(-max_value, max_value + 1)
     configs: list[tuple[tuple[int, int], ...]] = [()]
     for p in positions:

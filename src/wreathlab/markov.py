@@ -16,11 +16,12 @@ Three jobs live here:
   replay takes a^t as a dense matrix power, the identity at t = 0 (exact in
   any summation order: every entry of a is a multiple of 1/degree, and the
   hosts have degree 2 or 4), then sums over each pair the chain can couple
-  once, as i <= j, bit for bit as the dense n x n sum. delayed_walk refuses
-  a chain whose dense matrices would not fit in physical memory, and keeps
-  a off huge pages: its few nonzeros touch a fraction of its 4 KiB pages,
-  while a huge page (numpy asks for them, the kernel grants one only when it
-  has one free) makes the 2 MiB around each touched entry resident.
+  once, as i <= j, bit for bit as the dense n x n sum. delayed_walk (and the
+  replay, on the core before it fattens it) refuses a chain whose dense
+  matrices would not fit in physical memory. delayed_walk keeps a off huge
+  pages: its few nonzeros touch a fraction of its 4 KiB pages, while a huge
+  page (numpy asks for them, the kernel grants one only when it has one
+  free) makes the 2 MiB around each touched entry resident.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -52,7 +53,7 @@ __all__ = [
     "alpha_upper",
     "iterated_wreath_beta",
     "iterated_wreath_table",
-    "compression_bound_sides",
+    "compression_bound",
 ]
 
 CHAIN_TOL = 1e-12
@@ -326,6 +327,8 @@ def delayed_walk_replay(
     if t < 0:
         raise ValidationError("t must be nonnegative")
     _check_p(p)
+    core = set(core)  # the fattened set holds it, so refuse a core too big before the search
+    check_physical_memory(_DENSE_ARRAYS * 8 * len(core) ** 2, f"the dense n x n arrays of {len(core)} states")
     core, fattened = folner_fatten(host, core, t)
     chain = delayed_walk(host, fattened)
     chain.validate()
@@ -485,15 +488,11 @@ def iterated_wreath_table(k_max: int) -> list[tuple[int, Fraction, Fraction]]:
     return [(k, iterated_wreath_beta(k), alpha_upper(iterated_wreath_beta(k))) for k in range(1, k_max + 1)]
 
 
-def compression_bound_sides(
-    rho_value: float, m: float, delta: float, p: float, t: int
-) -> tuple[float, float]:
-    """(rho_value, m delta^{-1/p} t^{1/p}); the caller asserts lhs <= rhs."""
-    if not 0 < m < math.inf:
-        raise ValidationError("m must be positive and finite")
+def compression_bound(delta: float, t: int) -> float:
+    """delta^{-1/2} t^{1/2}, the bound on rho(c t^beta) that Markov type 2 with
+    constant 1 (Hilbert space) gives when Pr(d(W_t, e) >= c t^beta) >= delta."""
     if not 0 < delta <= 1:
         raise ValidationError("delta must lie in (0, 1]")
-    _check_p(p)
     if t < 1:
         raise ValidationError("t must be >= 1")
-    return (rho_value, m * delta ** (-1.0 / p) * t ** (1.0 / p))
+    return delta ** -0.5 * t ** 0.5

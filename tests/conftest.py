@@ -46,7 +46,7 @@ def scan_observations(ball6_elements):
     """Distance/norm observations on the ball plus the balanced families."""
     elements = list(ball6_elements)
     for prefactor in (1, 2, 4, 8, 16):
-        elements.extend(embedding.balanced_family(ALPHA, prefactor, 200))
+        elements.extend(embedding.balanced_family(ALPHA, prefactor))
     return embedding.norm_observations(elements, ALPHA, 1e-6)
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from wreathlab import cli, embedding
+from wreathlab import cli, embedding, hosts, markov, metric
 
 
 def run_cli(capsys, *argv):
@@ -337,6 +337,45 @@ class TestMarkovCommands:
         code, _, err = run_cli(capsys, "markov", "delayed", "--host", "z", "--subset", f"0:{n}")
         assert code == 3
         assert "physical memory" in err
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("host, spec", [("z", "0:100"), ("z2", "0:10:0:9")])
+    def test_subset_over_the_cap_exits_3_before_it_is_built(self, capsys, monkeypatch, host, spec):
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 100)
+
+        def unreachable(*args):
+            raise AssertionError("the oversized subset reached delayed_walk")
+
+        monkeypatch.setattr(markov, "delayed_walk", unreachable)
+        code, out, err = run_cli(capsys, "markov", "delayed", "--host", host, "--subset", spec)
+        assert (code, out) == (3, "")
+        assert "more than 100 elements" in err
+
+    def test_replay_core_over_physical_memory_exits_3_before_fattening(self, capsys, monkeypatch):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
+
+        def unreachable(*args):
+            raise AssertionError("the oversized core reached the fattening search")
+
+        monkeypatch.setattr(hosts, "union_of_balls", unreachable)
+        code, out, err = run_cli(capsys, "markov", "replay", "--host", "z", "--F", f"0:{n}", "--t", "1")
+        assert (code, out) == (3, "")
+        assert "physical memory" in err
+
+    def test_truncation_of_wide_support_exits_3_at_once(self, capsys):
+        # 3^200001 elements: a count too long to print, and too slow to compute at wider supports
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "markov", "delayed", "--host", "zwrz-trunc", "--subset", "0:100000:1")
+        assert code == 3
+        assert "truncation" in err
+        assert time.perf_counter() - start < 5.0
+
+    def test_truncation_with_every_lamp_off_skips_its_support(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "markov", "delayed", "--host", "zwrz-trunc", "--subset", "1:100000000:0")
+        assert code == 0
+        assert read_json(out)["states"] == 3
         assert time.perf_counter() - start < 5.0
 
     def test_oversized_wreath_truncation_exits_3(self, capsys):

@@ -115,7 +115,7 @@ class TestTailSeries:
         # ball 6 plus the balanced families: 1,200 norms, two tails each
         elements = emb.ball_elements(6)
         for prefactor in emb.BALANCED_PREFACTORS:
-            elements += emb.balanced_family(ALPHA, prefactor, emb.BALANCED_MAX_DISTANCE)
+            elements += emb.balanced_family(ALPHA, prefactor)
         emb.shifted_power_tail.cache_clear()
         emb.norm_observations(elements, ALPHA, 1e-6)
         info = emb.shifted_power_tail.cache_info()
@@ -357,7 +357,7 @@ class TestScan:
 
     def test_balanced_family_distances_exact(self):
         for prefactor in (1, 4):
-            for g in emb.balanced_family(ALPHA, prefactor, 150):
+            for g in emb.balanced_family(ALPHA, prefactor):
                 spread = g.lamps.support()[-1]
                 mass = sum(abs(v) for _, v in g.lamps.entries)
                 assert metric.distance(IDENTITY, g).total == 2 * spread + mass

@@ -541,13 +541,9 @@ class TestBoundCalculator:
             assert bound == Fraction(1, 1) / (2 - Fraction(2) ** (1 - k))
 
     def test_display_sides(self):
-        lhs, rhs = markov.compression_bound_sides(3.0, 1.0, 0.25, 2.0, 16)
-        assert lhs == 3.0
-        assert rhs == pytest.approx(1.0 * 0.25 ** (-0.5) * 16 ** 0.5)
+        assert markov.compression_bound(0.25, 16) == 8.0
 
-    @pytest.mark.parametrize(
-        "m, p", [(math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0), (1.0, math.nan), (1.0, math.inf)]
-    )
-    def test_display_sides_reject_bad_m_or_p(self, m, p):
+    @pytest.mark.parametrize("delta, t", [(0.0, 4), (1.5, 4), (math.nan, 4), (0.5, 0)])
+    def test_compression_bound_rejects_bad_delta_or_t(self, delta, t):
         with pytest.raises(ValidationError):
-            markov.compression_bound_sides(1.0, m, 0.5, p, 4)
+            markov.compression_bound(delta, t)
