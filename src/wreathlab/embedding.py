@@ -37,18 +37,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import zeta
 
 from . import metric
 from .errors import EstimationError, ResourceLimitError, ValidationError
-from .group import GroupElement, IDENTITY, LampConfig, canonical_generators, encode
+from .group import GroupElement, IDENTITY, LampConfig, canonical_generators, encode, generator_names
 
 __all__ = [
     "embedding_distance",
     "embedding_norm",
+    "LipschitzAudit",
     "lipschitz_audit",
     "CompressionReport",
     "norm_observations",
@@ -216,15 +217,25 @@ def embedding_norm(g: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[fl
     return embedding_distance(g, IDENTITY, alpha, eps)
 
 
-def lipschitz_audit(alpha: float) -> float:
-    """Largest embedded norm among the four generators.
+class LipschitzAudit(NamedTuple):
+    """Each generator's certified norm and error bound, keyed by its name; the
+    largest norm, which by invariance bounds the Lipschitz constant of the
+    whole embedding; and the audit constant lipschitz^2 (1 - 2 alpha)."""
 
-    By invariance this bounds the Lipschitz constant of the whole embedding.
-    The lamp generators contribute exactly 1; the cursor generators carry the
-    half-line series and dominate.
-    """
-    values = [embedding_norm(s, alpha, EPS_FLOOR)[0] for s in canonical_generators()]
-    return max(values)
+    generators: dict[str, dict[str, float]]
+    lipschitz: float
+    audit_constant: float
+
+
+def lipschitz_audit(alpha: float, eps: float = EPS_FLOOR) -> LipschitzAudit:
+    """The certified norms of the four generators. The lamp generators give
+    exactly 1; the cursor generators carry the half-line series and dominate."""
+    generators = {}
+    for name, g in zip(generator_names(), canonical_generators()):
+        value, bound = embedding_norm(g, alpha, eps)
+        generators[name] = {"norm": value, "errorBound": bound}
+    lipschitz = max(entry["norm"] for entry in generators.values())
+    return LipschitzAudit(generators, lipschitz, lipschitz * lipschitz * (1 - 2 * alpha))
 
 
 @dataclass(frozen=True)
@@ -292,8 +303,7 @@ def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> 
 
 def ball_elements(radius: int) -> list[GroupElement]:
     """Every element at distance 1..radius, deterministically ordered."""
-    table = metric.ball(radius)
-    out = [g for g in table if table.distance_of(g) >= 1]
+    out = [g for g, d in metric.ball(radius).items() if d >= 1]
     out.sort(key=encode)
     return out
 

@@ -51,7 +51,6 @@ __all__ = [
     "ReplayReport",
     "delayed_walk_replay",
     "alpha_upper",
-    "iterated_wreath_beta",
     "iterated_wreath_table",
     "compression_bound",
 ]
@@ -101,16 +100,9 @@ def chain_residuals(chain: FiniteChain) -> dict[str, float]:
     }
 
 
-def _check_p(p: float) -> None:
-    if not 1 <= p < math.inf:  # nan fails too
-        raise ValidationError("p must be finite and >= 1")
-
-
 def _pairwise_power(points: np.ndarray, p: float) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    np.maximum(sq, 0.0, out=sq)
-    return sq ** (p / 2.0)  # sq ** 1.0 is sq, bit for bit
+    return np.einsum("ijk,ijk->ij", diff, diff) ** (p / 2.0)  # x ** 1.0 is x, bit for bit
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -130,7 +122,8 @@ def markov_type_sides(
     """
     if tmax < 1:
         raise ValidationError("tmax must be >= 1")
-    _check_p(p)
+    if not 1 <= p < math.inf:  # nan fails too
+        raise ValidationError("p must be finite and >= 1")
     chain.validate()
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -322,11 +315,14 @@ def delayed_walk_replay(
     and rho must be nondecreasing with rho(d(x, y)) <= ||emb(x) - emb(y)|| on
     every pair the chain can couple (checked; rho=None derives the empirical
     modulus of emb, which satisfies both by construction). The upper term is
-    t itself: Markov type 2 with constant 1 for Euclidean targets.
+    t itself: Markov type 2 with constant 1 for Euclidean targets bounds the
+    p-th moment by t^(p/2) <= t for p in [1, 2], and only there, so p must lie
+    in [1, 2].
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    _check_p(p)
+    if not 1 <= p <= 2:  # nan fails too
+        raise ValidationError("p must lie in [1, 2], where the upper term t bounds the p-th moment")
     core = set(core)  # the fattened set holds it, so refuse a core too big before the search
     check_physical_memory(_DENSE_ARRAYS * 8 * len(core) ** 2, f"the dense n x n arrays of {len(core)} states")
     core, fattened = folner_fatten(host, core, t)
@@ -369,8 +365,8 @@ def delayed_walk_replay(
     previous = None
     for d in attained.tolist():
         value = float(rho(float(d)))
-        if value < -CHECK_TOL:
-            raise ValidationError(f"rho({d}) = {value} is negative")
+        if not value >= -CHECK_TOL:  # nan fails too
+            raise ValidationError(f"rho({d}) = {value} is not a nonnegative number")
         if previous is not None and value < previous - CHECK_TOL:
             raise ValidationError(f"rho is not nondecreasing at argument {d}")
         previous = value
@@ -385,14 +381,10 @@ def delayed_walk_replay(
             f"rho({int(host_dist[k])}) = {rho_at[level[k]]} > {float(emb_dist[k])}"
         )
 
-    try:
-        rho_p = np.asarray([r**p for r in rho_at])[level]
-    except OverflowError:  # Python's float power raises where numpy's gives inf
-        rho_p = np.full(level.shape, math.inf)
-    with np.errstate(over="ignore"):
-        emb_p = emb_dist**p
-    if not (np.isfinite(rho_p).all() and np.isfinite(emb_p).all()):
-        raise ValidationError(f"rho^p or the embedding gap^p is not finite at p = {p}")
+    # finite: a coupled pair is joined by at most t in-subset edges, each
+    # stretched by at most 1 + CHECK_TOL, rho is at most the gap, and p <= 2
+    rho_p = np.asarray([r**p for r in rho_at])[level]
+    emb_p = emb_dist**p
 
     # each term is (pi_i * w_ij) * x_ij, as in a dense n x n sum, weighted by
     # the ordered pairs it stands for: (i, j) and (j, i) give equal floats, and
@@ -476,16 +468,13 @@ def alpha_upper(beta) -> Fraction:
     return min(Fraction(1, 2) / b, Fraction(1))
 
 
-def iterated_wreath_beta(k: int) -> Fraction:
-    """Displacement exponent 1 - 2^{-k} of the k-fold iterated construction."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    return Fraction(2**k - 1, 2**k)
-
-
 def iterated_wreath_table(k_max: int) -> list[tuple[int, Fraction, Fraction]]:
-    """Rows (k, beta_k, alpha_upper(beta_k)) for k = 1..k_max."""
-    return [(k, iterated_wreath_beta(k), alpha_upper(iterated_wreath_beta(k))) for k in range(1, k_max + 1)]
+    """Rows (k, beta_k, alpha_upper(beta_k)) for k = 1..k_max, with beta_k =
+    1 - 2^{-k} the displacement exponent of the k-fold iterated construction."""
+    if k_max < 1:
+        raise ValidationError("k must be >= 1")
+    betas = (Fraction(2**k - 1, 2**k) for k in range(1, k_max + 1))
+    return [(k, beta, alpha_upper(beta)) for k, beta in enumerate(betas, start=1)]
 
 
 def compression_bound(delta: float, t: int) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -165,28 +165,18 @@ def distance_bfs(a: GroupElement, b: GroupElement, max_radius: int) -> int:
     raise RadiusExceededError(f"no path within radius {max_radius}")
 
 
-@dataclass(frozen=True)
-class BallTable:
-    """All elements within a radius of the identity, with exact distances."""
+class BallTable(dict):
+    """Each element within a radius of the identity, mapped to its exact distance."""
 
-    radius: int
-    distances: dict[GroupElement, int]
+    def __init__(self, radius: int, distances: dict[GroupElement, int]):
+        super().__init__(distances)
+        self.radius = radius
 
-    def __len__(self) -> int:
-        return len(self.distances)
-
-    def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.distances)
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self.distances
-
-    def distance_of(self, g: GroupElement) -> int:
-        return self.distances[g]
+    distance_of = dict.__getitem__
 
     def layer_sizes(self) -> list[int]:
         sizes = [0] * (self.radius + 1)
-        for d in self.distances.values():
+        for d in self.values():
             sizes[d] += 1
         return sizes
 

@@ -183,7 +183,7 @@ def test_criterion_6_embedding_exactness_and_constant():
     lo, hi = direct_step_norm_squared(ALPHA)
     slack = step_err * (2 * step_value + step_err)
     step_ok = lo - slack <= step_value**2 <= hi + slack
-    audits = {a: embedding.lipschitz_audit(a) for a in (0.30, 0.40, 0.45, 0.49)}
+    audits = {a: embedding.lipschitz_audit(a).lipschitz for a in (0.30, 0.40, 0.45, 0.49)}
     constant = max(v**2 * (1 - 2 * a) for a, v in audits.items())
     constant_ok = constant <= 2.0
     report(
@@ -197,7 +197,7 @@ def test_criterion_6_embedding_exactness_and_constant():
 
 def test_criterion_7_compression_lower_bound_shape(scan_observations):
     shape = embedding.lower_shape_exponent(ALPHA)
-    lipschitz = embedding.lipschitz_audit(ALPHA)
+    lipschitz = embedding.lipschitz_audit(ALPHA).lipschitz
     lower_constant = min(v / d**shape for d, v, _ in scan_observations)
     upper_ok = all(v <= lipschitz * d + e + 1e-12 for d, v, e in scan_observations)
     worst_fit, _ = embedding.worst_balanced_exponent(ALPHA)

@@ -75,6 +75,11 @@ class TestBoundCommand:
         assert code == 0
         assert "4/7" in out
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_iterated_table_refuses_k_below_1(self, capsys, k):
+        code, out, err = run_cli(capsys, "bound", "--iterated-k", k)
+        assert (code, out, err) == (1, "", "error: k must be >= 1\n")
+
     def test_requires_an_argument(self, capsys):
         code, _, _ = run_cli(capsys, "bound")
         assert code == 1
@@ -321,13 +326,15 @@ class TestMarkovCommands:
         assert err.startswith("error: ")
         assert out == ""
 
-    def test_replay_power_overflow_is_an_error(self, capsys):
-        # rho(2)^p overflows a float; the replay refuses before any sum
+    @pytest.mark.parametrize("p", ["2.5", "3", "1e308"])
+    def test_replay_refuses_p_above_2(self, capsys, p):
+        # the upper term t bounds the p-th moment only for p <= 2; past 2 the
+        # last link fails with nothing wrong (6.49 > 4.0 at p = 2.5)
         code, out, err = run_cli(
-            capsys, "markov", "replay", "--host", "z", "--F", "0:5", "--t", "2", "--p", "1e308"
+            capsys, "markov", "replay", "--host", "z", "--F=-20:20", "--t", "4", "--p", p
         )
         assert code == 1
-        assert err.startswith("error: ") and "not finite" in err
+        assert err == "error: p must lie in [1, 2], where the upper term t bounds the p-th moment\n"
         assert out == ""
 
     def test_delayed_over_physical_memory_exits_3(self, capsys):
@@ -411,6 +418,12 @@ STDOUT_SHA256 = [
      "19606afd4863c37feb40f3d1a023ae2b40edf76e675e0a07dfcac183dbe0a4c6"),
     (("bound", "--iterated-k", "3"),
      "5e459f893dd22b41816c32ac3ff8a1e65d5697ae9c12a00bfac0b90172f2bbf0"),
+    (("embed", "norms"),
+     "565982294d23a58766887af727bd79a06317c66ef56f42501b0bce4ffa71405f"),
+    (("embed", "norms", "--alpha", "0.3", "--eps", "1e-9"),
+     "47dc9d65f637c4733bca2aab99fe405168246cb658b99c354c8d095aef24f864"),
+    (("markov", "verify", "--chains", "20", "--tmax", "8"),
+     "56fa9d29327f6bc7346ca31c7f85289b91d41efc16dcd3efd13cb9a9707912de"),
 ]
 
 

@@ -276,18 +276,18 @@ class TestImage:
 
 class TestLipschitz:
     def test_audit_is_step_norm(self):
-        audit = emb.lipschitz_audit(ALPHA)
+        audit = emb.lipschitz_audit(ALPHA).lipschitz
         step, _ = emb.embedding_norm(element_from_text("1;"), ALPHA, emb.EPS_FLOOR)
         assert audit == pytest.approx(step, abs=1e-12)
         assert audit >= 1.0
 
     def test_single_constant_across_alphas(self):
         for alpha in (0.30, 0.40, 0.45, 0.49):
-            audit = emb.lipschitz_audit(alpha)
+            audit = emb.lipschitz_audit(alpha).lipschitz
             assert audit**2 * (1 - 2 * alpha) <= 2.0
 
     def test_norm_is_lipschitz_on_ball(self, ball4_elements):
-        audit = emb.lipschitz_audit(ALPHA)
+        audit = emb.lipschitz_audit(ALPHA).lipschitz
         for g in ball4_elements:
             value, err = emb.embedding_norm(g, ALPHA)
             d = metric.distance(IDENTITY, g).total
@@ -343,7 +343,7 @@ class TestScan:
         report = emb.compression_scan(ALPHA, emb.random_elements(50, 3), 1e-6)
         assert len(report.observations) == 50
         assert report.fitted_lower_constant > 0
-        assert report.lipschitz_max <= emb.lipschitz_audit(ALPHA) + 1e-9
+        assert report.lipschitz_max <= emb.lipschitz_audit(ALPHA).lipschitz + 1e-9
 
     def test_pure_cursor_ratio_diverges(self):
         family = emb.pure_cursor_family(100)

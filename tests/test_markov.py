@@ -402,6 +402,14 @@ class TestReplay:
                 host, hosts.interval(-3, 3), 1, lambda v: (float(v),), lambda s: 2.0 * s
             )
 
+    def test_nan_modulus_rejected(self):
+        # nan fails every comparison, so no check against a gap can catch it
+        with pytest.raises(ValidationError):
+            markov.delayed_walk_replay(
+                hosts.host_by_name("z"), hosts.interval(0, 5), 2, lambda v: (float(v),),
+                lambda s: math.nan,
+            )
+
     def test_asymmetric_power_is_an_invariant_violation(self, monkeypatch):
         # the sums take each coupled pair once, which needs a^t exactly symmetric
         power = np.linalg.matrix_power
