@@ -13,11 +13,15 @@ Three jobs live here:
   core set;
 * a replay of the resulting sandwich on concrete finite instances: the
   compression lower term never exceeds the Markov-type upper term. The
-  replay takes a^t as a dense matrix power, the identity at t = 0 (exact in
-  any summation order: every entry of a is a multiple of 1/degree, and the
-  hosts have degree 2 or 4), then sums over each pair the chain can couple
-  once, as i <= j, bit for bit as the dense n x n sum. delayed_walk (and the
-  replay, on the core before it fattens it) refuses a chain whose dense
+  replay takes a^t as a dense matrix power, the identity at t = 0, in the
+  narrowest float that holds it exactly. Every entry of a is a multiple of
+  1/degree (the hosts have degree 2 or 4), so every entry of every partial
+  product and partial sum of a^t is a multiple of degree^-t in [0, 1], which
+  a float with an m-bit significand holds in any summation order when
+  degree^t <= 2^m: a^t is float32 up to degree^t = 2^24, float64 up to 2^53,
+  and refused past that. The replay then sums over each pair the chain can
+  couple once, as i <= j, bit for bit as the dense n x n sum. delayed_walk
+  (and the replay, on the core before it fattens it) refuses a chain whose dense
   matrices would not fit in physical memory. delayed_walk keeps a off huge
   pages: its few nonzeros touch a fraction of its 4 KiB pages, while a huge
   page (numpy asks for them, the kernel grants one only when it has one
@@ -210,7 +214,8 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
 
 
 # n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
-# of the matrix power and the validation
+# of the matrix power and the validation. An upper bound: a^t and the power's
+# temporaries are float32 wherever that holds them exactly
 _DENSE_ARRAYS = 4
 
 
@@ -323,6 +328,14 @@ def delayed_walk_replay(
         raise ValidationError("t must be nonnegative")
     if not 1 <= p <= 2:  # nan fails too
         raise ValidationError("p must lie in [1, 2], where the upper term t bounds the p-th moment")
+    # a float with an m-bit significand holds a^t exactly if scale <= 2^m; the
+    # exponent is clamped so scale stays a small integer (degree >= 2, so any
+    # t past 53 is still refused)
+    scale = host.degree ** min(t, 54)
+    if scale > 2**53:
+        raise ValidationError(
+            f"degree^t = {host.degree}^{t} exceeds 2^53, past which float64 cannot hold a^t exactly"
+        )
     core = set(core)  # the fattened set holds it, so refuse a core too big before the search
     check_physical_memory(_DENSE_ARRAYS * 8 * len(core) ** 2, f"the dense n x n arrays of {len(core)} states")
     core, fattened = folner_fatten(host, core, t)
@@ -338,12 +351,14 @@ def delayed_walk_replay(
     if not np.isfinite(points).all():
         raise ValidationError("embedding produced nonfinite coordinates")
 
-    at = np.linalg.matrix_power(chain.a, t)
+    narrowest = np.float32 if scale <= 2**24 else np.float64
+    at = np.linalg.matrix_power(chain.a.astype(narrowest, copy=False), t)
     # every pair the chain can couple, once, as i <= j in row-major order
     ui, uj = np.nonzero(np.triu((chain.a > 0) | (at > 0)))
     # pi is uniform, so the sums below take (j, i) as a second copy of (i, j)
     if not (np.array_equal(at[ui, uj], at[uj, ui]) and np.array_equal(chain.a[ui, uj], chain.a[uj, ui])):
         raise InvariantViolation("a or a^t is not exactly symmetric on the coupled pairs")
+    at_pairs = at[ui, uj].astype(float)  # float32 widens to float64 exactly
     host_dist = host.distances(vertices, ui, uj)
     diff = points[ui] - points[uj]
     emb_dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
@@ -393,12 +408,12 @@ def delayed_walk_replay(
     pi = chain.pi
     off_diagonal = ui != uj
     orders = 1 + off_diagonal
-    pair_weight = pi[ui] * at[ui, uj] * orders
+    pair_weight = pi[ui] * at_pairs * orders
     full_avg = _weighted_sum(pair_weight, rho_p)
     in_core = np.zeros(n, dtype=np.int64)
     in_core[core_indices] = 1
     core_orders = in_core[ui] + in_core[uj] * off_diagonal  # ordered pairs starting in the core
-    restricted_avg = _weighted_sum(at[ui, uj] * core_orders, rho_p) / n
+    restricted_avg = _weighted_sum(at_pairs * core_orders, rho_p) / n
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
     # so the start does not matter

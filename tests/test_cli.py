@@ -337,6 +337,28 @@ class TestMarkovCommands:
         assert err == "error: p must lie in [1, 2], where the upper term t bounds the p-th moment\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "host, spec, degree, t", [("z2", "0:0:0:0", 4, 27), ("z2", "0:0:0:0", 4, 30), ("z", "0:0", 2, 10**9)]
+    )
+    def test_replay_refuses_a_power_float64_cannot_hold(self, capsys, monkeypatch, host, spec, degree, t):
+        # 4^27 = 2^54: past 2^53 the entries of a^t would round, and the exact
+        # symmetry check would fail with nothing wrong; a huge t is refused at
+        # once, without raising the degree to it
+        def unreachable(*args):
+            raise AssertionError("the refused replay reached the fattening search")
+
+        monkeypatch.setattr(hosts, "union_of_balls", unreachable)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "markov", "replay", "--host", host, "--F", spec, "--t", str(t))
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        assert err == f"error: degree^t = {degree}^{t} exceeds 2^53, past which float64 cannot hold a^t exactly\n"
+
+    def test_replay_at_the_float64_boundary_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "markov", "replay", "--host", "z2", "--F", "0:0:0:0", "--t", "26")
+        assert code == 0
+        assert read_json(out)["pass"] is True
+
     def test_delayed_over_physical_memory_exits_3(self, capsys):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
@@ -424,6 +446,8 @@ STDOUT_SHA256 = [
      "47dc9d65f637c4733bca2aab99fe405168246cb658b99c354c8d095aef24f864"),
     (("markov", "verify", "--chains", "20", "--tmax", "8"),
      "56fa9d29327f6bc7346ca31c7f85289b91d41efc16dcd3efd13cb9a9707912de"),
+    (("markov", "replay", "--host", "z2", "--F", "0:0:0:0", "--t", "13"),
+     "0fcdcf7579a05ee734aadc95462dbc823e0830fdc02df87acf78875aec890cd9"),
 ]
 
 

@@ -416,7 +416,7 @@ class TestReplay:
 
         def skewed(a, t):
             at = power(a, t)
-            at[0, 1] += 2.0**-40
+            at[0, 1] = np.nextafter(at[0, 1], np.inf)  # one ulp in the dtype of a^t
             return at
 
         monkeypatch.setattr(np.linalg, "matrix_power", skewed)
@@ -480,6 +480,8 @@ class TestReplayOracle:
              lambda v: (float(v[0]), float(v[1])), lambda s: s / math.sqrt(2.0)),
             ("zwrz", hosts.wreath_truncation(1, 1, 1), 1, wreath_coordinates, None),
             ("zwrz", hosts.wreath_truncation(1, 1, 1), 2, wreath_coordinates, None),
+            # 4^13 = 2^26, past float32: a^t is taken in float64
+            ("z2", [(0, 0)], 13, lambda v: (float(v[0]), float(v[1])), lambda s: s / math.sqrt(2.0)),
         ],
     )
     def test_bit_identical_on_integer_embeddings(self, host_name, core, t, emb, rho):
@@ -509,6 +511,30 @@ class TestReplayOracle:
         for field, want in dense_replay(host, core, t, emb, rho).items():
             assert getattr(report, field) == pytest.approx(want, rel=1e-12, abs=0.0), field
 
+    @pytest.mark.parametrize(
+        "host_name, core, t, emb, narrowest",
+        [
+            ("z2", [(0, 0)], 12, lambda v: (float(v[0]), float(v[1])), np.float32),  # 4^12 = 2^24
+            ("z2", [(0, 0)], 13, lambda v: (float(v[0]), float(v[1])), np.float64),
+            ("z", [0], 24, lambda v: (float(v),), np.float32),  # 2^24
+            ("zwrz", hosts.wreath_truncation(1, 1, 1), 3, wreath_coordinates, np.float32),
+        ],
+    )
+    def test_narrow_power_is_the_float64_power(self, monkeypatch, host_name, core, t, emb, narrowest):
+        host = hosts.host_by_name(host_name)
+        power = np.linalg.matrix_power
+        taken = []
+
+        def recorded(a, t):
+            taken.append(power(a, t))
+            return taken[-1]
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recorded)
+        markov.delayed_walk_replay(host, core, t, emb, None)
+        (at,) = taken
+        chain = markov.delayed_walk(host, markov.folner_fatten(host, core, t)[1])
+        assert at.dtype == narrowest
+        assert np.array_equal(at, power(chain.a, t))
 
     def test_rejections_name_the_first_offending_pair(self):
         host = hosts.host_by_name("z")
