@@ -436,6 +436,8 @@ STDOUT_SHA256 = [
      "e04966647c96c42860a1771fc226fc667414dbf71284c7b037691bd52c5584bb"),
     (("embed", "pair", "--a", "1; 0:1", "--b", "0;"),
      "39438e1c4ff75f8417f0ec69df401636ffd0ab8022a5fafc7d517bee69d1b176"),
+    (("embed", "pair", "--a", "3; -2:1, 5:-4", "--b", "-1; 0:2"),
+     "338d00c3e8ed3275eb8e8d8383e9937a9c80581c688e35f9c2ab1cbf7e0f59b9"),
     (("bound", "--beta", "0.75"),
      "19606afd4863c37feb40f3d1a023ae2b40edf76e675e0a07dfcac183dbe0a4c6"),
     (("bound", "--iterated-k", "3"),
