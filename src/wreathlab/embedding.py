@@ -7,10 +7,14 @@ right side (n > k) and (k - n)^alpha on the left (n < k). Only disjoint
 supports and unit norms of the underlying vectors matter, so the coordinates
 stay abstract keys and no function space is materialized.
 
-Norms and distances are certified: coefficients are enumerated inside an
-explicit window, and the infinite tail (where both restrictions vanish and the
-per-endpoint difference is (m + delta)^alpha - m^alpha with delta the cursor
-gap) is summed in closed form as a binomial series in Hurwitz zeta values,
+The embedding is left-invariant (left multiplication permutes the phi keys
+and translates cursor and lamps), so embedding_distance(a, b) is the norm of
+the one element b^-1 a, its distance to the identity; with b the identity
+that is embedding_norm(a) to the bit. Norms are certified: coefficients are
+enumerated inside an explicit window, and the infinite tail (where the
+element's restrictions vanish, as the identity's do, and the per-endpoint
+difference is (m + delta)^alpha - m^alpha with delta = |cursor|) is summed in
+closed form as a binomial series in Hurwitz zeta values,
 
     sum_{m >= m0} ((m + delta)^alpha - m^alpha)^2
         = sum_{p >= 2} c_p delta^p zeta(p - 2 alpha, m0),
@@ -24,9 +28,9 @@ ones (21 in the pipeline's 1,200 norms), so each is computed once per process
 and kept in a bounded cache.
 
 One routine sums the window of the right half-lines; the left side is its
-mirror image n -> -n (cursors, support and differing positions negated). It
-never compares restrictions: those of a and b to [n, inf) agree exactly when
-n is past the last position where their lamps differ. A window longer than
+mirror image n -> -n (cursor and support negated). It never compares
+restrictions: the element's restriction to [n, inf) is empty, as the
+identity's is, exactly when n is past its last lamp. A window longer than
 metric.DEFAULT_BALL_CAP positions is refused before it is summed.
 compression_scan fits the shape of given elements: a family below, the ball,
 or random_elements.
@@ -44,7 +48,9 @@ from scipy.special import zeta
 
 from . import metric
 from .errors import EstimationError, ResourceLimitError, ValidationError
-from .group import GroupElement, IDENTITY, LampConfig, canonical_generators, encode, generator_names
+from .group import (
+    GroupElement, IDENTITY, LampConfig, canonical_generators, encode, generator_names, inverse, multiply,
+)
 
 __all__ = [
     "embedding_distance",
@@ -134,87 +140,72 @@ def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[f
 tail_cache_info = shifted_power_tail.cache_info
 
 
-def _half_line_sum(
-    k1: int, k2: int, reach: float, last_diff: float, alpha: float, margin: int, tail_tol: float
-) -> tuple[float, float, float]:
-    """(window sum, tail estimate, tail remainder) of the right half-line keys.
+def _half_line_sum(k: int, last: float, alpha: float, margin: int, tail_tol: float) -> tuple[float, float, float]:
+    """(window sum, tail estimate, tail remainder) of the right half-line keys
+    of (f, k) minus the identity.
 
-    reach is the last lamp position of either element and last_diff the last
-    position where their lamps differ (-inf when there is none), so the two
-    restrictions to [n, inf) agree exactly when n > last_diff. A window longer
-    than metric.DEFAULT_BALL_CAP positions is refused before it is summed.
+    last is the last lamp position of f (-inf when there is none): the
+    restriction of f to [n, inf) is empty, as the identity's, exactly when
+    n > last. A window over metric.DEFAULT_BALL_CAP positions is refused.
     """
-    k_hi = max(k1, k2)
-    cutoff = max(k_hi + margin, reach)
-    k_lo = min(k1, k2)
+    k_hi = max(k, 0)
+    cutoff = max(k_hi + margin, last)
+    k_lo = min(k, 0)
     if cutoff - k_lo > metric.DEFAULT_BALL_CAP:
         raise ResourceLimitError(
             f"embedding window of {cutoff - k_lo} positions exceeds the cap {metric.DEFAULT_BALL_CAP}"
         )
     terms: list[float] = []
     for n in range(k_lo + 1, cutoff + 1):
-        ca = float(n - k1) ** alpha if n > k1 else 0.0
-        cb = float(n - k2) ** alpha if n > k2 else 0.0
-        if n > last_diff:
-            terms.append((ca - cb) ** 2)
+        cg = float(n - k) ** alpha if n > k else 0.0
+        ce = float(n) ** alpha if n > 0 else 0.0
+        if n > last:
+            terms.append((cg - ce) ** 2)
         else:
-            terms.append(ca * ca + cb * cb)
-    tail, remainder = shifted_power_tail(abs(k1 - k2), cutoff - k_hi + 1, alpha, tail_tol)
+            terms.append(cg * cg + ce * ce)
+    tail, remainder = shifted_power_tail(abs(k), cutoff - k_hi + 1, alpha, tail_tol)
     return math.fsum(terms), tail, remainder
 
 
-def _squared_parts(a: GroupElement, b: GroupElement, alpha: float, eps: float) -> tuple[int, float, float]:
-    """(exact cursor+lamp part, phi part estimate, certified phi error)."""
-    delta = abs(a.cursor - b.cursor)
-    # the tail series needs delta/m0 <= 1/4, and m0 is at least margin + 1
-    margin = max(4 * delta, BASE_MARGIN)
-    lamp_diff = dict(a.lamps.entries)
-    for p, v in b.lamps.entries:
-        q = lamp_diff.get(p, 0) - v
-        if q:
-            lamp_diff[p] = q
-        else:
-            lamp_diff.pop(p, None)
-    exact = delta * delta + sum(v * v for v in lamp_diff.values())
-    # clamp so the slack stays below the squared gap of distinct elements
+def _squared_parts(g: GroupElement, alpha: float, eps: float) -> tuple[int, float, float]:
+    """(exact cursor+lamp part, phi part estimate, certified phi error) of g."""
+    k = g.cursor
+    # the tail series needs |k|/m0 <= 1/4, and m0 is at least margin + 1
+    margin = max(4 * abs(k), BASE_MARGIN)
+    exact = k * k + sum(v * v for _, v in g.lamps.entries)
+    # clamp so the slack stays below the squared norm of a nonidentity element
     # (>= 1), keeping error_bound <= eps even for generous eps requests
     tail_tol = min(eps, 1.0) ** 2 / 8.0
-    support = [p for p, _ in a.lamps.entries + b.lamps.entries]
-    k1, k2 = a.cursor, b.cursor
-    right_window, right_tail, right_rem = _half_line_sum(
-        k1, k2, max(support, default=-math.inf), max(lamp_diff, default=-math.inf),
-        alpha, margin, tail_tol,
-    )
+    support = g.lamps.support()
+    first, last = min(support, default=math.inf), max(support, default=-math.inf)
+    right_window, right_tail, right_rem = _half_line_sum(k, last, alpha, margin, tail_tol)
     # the left half-lines are the right ones of the mirror image n -> -n
-    left_window, left_tail, left_rem = _half_line_sum(
-        -k1, -k2, -min(support, default=math.inf), -min(lamp_diff, default=math.inf),
-        alpha, margin, tail_tol,
-    )
+    left_window, left_tail, left_rem = _half_line_sum(-k, -first, alpha, margin, tail_tol)
     phi = math.fsum([right_window, left_window, right_tail, left_tail])
     return exact, phi, right_rem + left_rem
 
 
-def embedding_distance(a: GroupElement, b: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
-    """Certified distance between two embedded elements.
+def embedding_norm(g: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
+    """Certified norm of one embedded element: its distance to the identity.
 
     Returns (value, error_bound) with |value - true| <= error_bound <= eps.
     """
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
-    if a == b:
+    if g == IDENTITY:
         return (0.0, 0.0)
-    exact, phi, slack = _squared_parts(a, b, alpha, eps)
+    exact, phi, slack = _squared_parts(g, alpha, eps)
     total = exact + phi
-    # distinct elements differ in cursor or lamps, so total >= 1 and the
+    # a nonidentity element moves its cursor or lamps, so total >= 1 and the
     # square root inflates the squared-value error by at most 1/2
     value = math.sqrt(total)
     error_bound = slack / (math.sqrt(max(total - slack, 0.0)) + value)
     return (value, error_bound)
 
 
-def embedding_norm(g: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
-    """Certified norm of one embedded element (distance to the identity)."""
-    return embedding_distance(g, IDENTITY, alpha, eps)
+def embedding_distance(a: GroupElement, b: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
+    """Certified distance between two embedded elements: the norm of b^-1 a."""
+    return embedding_norm(multiply(inverse(b), a), alpha, eps)
 
 
 class LipschitzAudit(NamedTuple):

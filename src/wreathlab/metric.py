@@ -19,7 +19,7 @@ fixed window, cursors in its columns) off a^-1 b = (shift by -k_a of f_b - f_a,
 k_b - k_a). lamp_table packs elements into such a table; the walk builds its
 own. The scalar distance stays the reference the tests compare it against.
 ball and hosts.union_of_balls share one breadth_first search; distance_bfs,
-the oracle, keeps its own.
+the oracle, keeps its own; both refuse an oversized radius before they search.
 """
 
 from __future__ import annotations
@@ -139,6 +139,16 @@ def neighbors(g: GroupElement) -> list[GroupElement]:
     return [multiply(g, s) for s in _GENERATORS]
 
 
+def _check_radius(radius: int) -> None:
+    """Refuse a radius whose ball may exceed DEFAULT_BALL_CAP: the graph is
+    4-regular, so |B_R| <= 1 + 4 (3^R - 1) / 2 = 2 3^R - 1 (exact up to R = 3).
+    The exponent is clamped at the cap's bit length, as in
+    hosts.wreath_truncation, so a huge radius is refused at once."""
+    cap = DEFAULT_BALL_CAP
+    if 2 * 3 ** min(radius, cap.bit_length()) - 1 > cap:
+        raise ResourceLimitError(f"the radius-{radius} ball may exceed the cap {cap}")
+
+
 def distance_bfs(a: GroupElement, b: GroupElement, max_radius: int) -> int:
     """Breadth-first oracle. Exact, but cost grows with the ball volume.
 
@@ -146,6 +156,7 @@ def distance_bfs(a: GroupElement, b: GroupElement, max_radius: int) -> int:
     """
     if max_radius < 0:
         raise ValidationError("max_radius must be nonnegative")
+    _check_radius(max_radius)
     target = multiply(inverse(a), b)
     if target == IDENTITY:
         return 0
@@ -207,13 +218,7 @@ def breadth_first(centers: Iterable, neighbors: Callable[[object], Iterable], ra
 
 
 def ball(radius: int) -> BallTable:
-    """Enumerate the radius ball around the identity by breadth-first search.
-
-    The graph is 4-regular, so |B_R| <= 1 + 4 (3^R - 1) / 2 = 2 3^R - 1 (exact
-    up to R = 3); a radius whose bound exceeds DEFAULT_BALL_CAP is refused
-    before any search.
-    """
-    if 2 * 3**radius - 1 > DEFAULT_BALL_CAP:
-        raise ResourceLimitError(f"the radius-{radius} ball may exceed the cap {DEFAULT_BALL_CAP}")
+    """Enumerate the radius ball around the identity by breadth-first search."""
+    _check_radius(radius)
     return BallTable(radius, breadth_first([IDENTITY], neighbors, radius))
 

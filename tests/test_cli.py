@@ -62,6 +62,29 @@ class TestMetricCommand:
         payload = read_json(out)
         assert payload["oracle"] == payload["total"]
 
+    def test_oracle_at_radius_9_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "metric", "--a", "9;", "--b", "0;", "--oracle")
+        assert code == 0
+        assert read_json(out)["oracle"] == 9
+
+    @pytest.mark.parametrize("argv", [
+        ("metric", "--a", "15;", "--b", "0;", "--oracle"),
+        ("embed", "scan", "--sampler", "ball:100000000", "--count", "10", "--out"),
+    ])
+    def test_oversized_radius_exits_3_before_any_search(self, capsys, monkeypatch, tmp_path, argv):
+        # the guard clamps its power of 3, so even 3^100000000 is never computed
+        def no_search(g):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(metric, "neighbors", no_search)
+        if argv[-1] == "--out":
+            argv += (str(tmp_path / "scan"),)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "may exceed the cap" in err
+
 
 class TestBoundCommand:
     def test_known_value(self, capsys):
@@ -476,6 +499,13 @@ class TestEmbedCommands:
         payload = read_json(out)
         assert payload["norm"] == 1.0
         assert payload["distance"] == 1
+
+    def test_pair_ignores_a_shared_far_lamp(self, capsys):
+        # the equal lamps at 40 cancel in b^-1 a, so the bytes are the pinned case's
+        pinned = dict(STDOUT_SHA256)[("embed", "pair", "--a", "3; -2:1, 5:-4", "--b", "-1; 0:2")]
+        code, out, _ = run_cli(capsys, "embed", "pair", "--a", "3; -2:1, 5:-4, 40:1", "--b", "-1; 0:2, 40:1")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned
 
     def test_scan_with_family_sampler(self, capsys, tmp_path):
         out_dir = str(tmp_path / "scan")

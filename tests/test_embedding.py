@@ -7,7 +7,7 @@ import pytest
 
 from wreathlab import embedding as emb, metric
 from wreathlab.errors import EstimationError, ValidationError
-from wreathlab.group import IDENTITY, GroupElement, LampConfig, element_from_text, multiply
+from wreathlab.group import IDENTITY, GroupElement, LampConfig, element_from_text, inverse, multiply
 
 from oracles import embedding_image
 from test_group import random_element
@@ -161,11 +161,12 @@ class TestNorms:
             assert abs(v1 - v2) <= e1
 
     def test_translation_invariance(self, rng):
+        # (g b)^-1 (g a) is b^-1 a in exact arithmetic, so the distance is the same float
         for _ in range(60):
             a, b, g = (random_element(rng) for _ in range(3))
-            v1, e1 = emb.embedding_distance(a, b, ALPHA)
-            v2, e2 = emb.embedding_distance(multiply(g, a), multiply(g, b), ALPHA)
-            assert abs(v1 - v2) <= e1 + e2
+            assert emb.embedding_distance(multiply(g, a), multiply(g, b), ALPHA) == (
+                emb.embedding_distance(a, b, ALPHA)
+            )
 
     def test_wider_window_agrees(self, monkeypatch):
         a = element_from_text("3; -2:1, 5:-4")
@@ -211,20 +212,64 @@ def nearby_pairs(rng, count):
 
 
 class TestHalfLineWindow:
-    """The window sum compares restrictions by one threshold, and the left side
-    is the right side of the mirror image."""
+    """The distance is the norm of b^-1 a, whose window sum compares restrictions
+    by one threshold, and the left side is the right side of the mirror image."""
 
     def test_threshold_rule_matches_restrictions(self, rng):
+        # a and b agree on a half-line at n exactly when b^-1 a is empty on it at
+        # n - k_b, which is when n - k_b lies past its last (or before its first) lamp
         for a, b in nearby_pairs(rng, 80):
-            support = set(a.lamps.support()) | set(b.lamps.support())
-            differ = [p for p in support if a.lamps.value_at(p) != b.lamps.value_at(p)]
-            last_diff = max(differ, default=-math.inf)
-            first_diff = min(differ, default=math.inf)
+            h = multiply(inverse(b), a)
+            last = max(h.lamps.support(), default=-math.inf)
+            first = min(h.lamps.support(), default=math.inf)
             margin = max(4 * abs(a.cursor - b.cursor), emb.BASE_MARGIN)
-            ends = list(support) + [a.cursor, b.cursor]
+            ends = list(a.lamps.support()) + list(b.lamps.support()) + [a.cursor, b.cursor]
             for n in range(min(ends) - margin, max(ends) + margin + 1):
-                for side, agree in (("right", n > last_diff), ("left", n < first_diff)):
-                    assert (restriction(a, side, n) == restriction(b, side, n)) == agree, (a, b, side, n)
+                m = n - b.cursor
+                for side, empty in (("right", m > last), ("left", m < first)):
+                    assert (restriction(a, side, n) == restriction(b, side, n)) == empty, (a, b, side, n)
+                    assert (restriction(h, side, m) == ()) == empty
+
+    def test_distance_is_the_norm_of_b_inverse_a(self, rng):
+        for a, b in nearby_pairs(rng, 80):
+            for alpha, eps in ((ALPHA, 1e-6), (0.2, 1e-8)):
+                assert emb.embedding_distance(a, b, alpha, eps) == (
+                    emb.embedding_norm(multiply(inverse(b), a), alpha, eps)
+                )
+            assert emb.embedding_distance(a, IDENTITY, ALPHA) == emb.embedding_norm(a, ALPHA)
+
+    def test_shared_far_lamp_leaves_the_distance_alone(self, rng):
+        # a lamp equal in a and b cancels in b^-1 a, so however far out it lies
+        # it changes no bit, and the key-level oracle of b^-1 a still agrees
+        for a, b in nearby_pairs(rng, 40):
+            far = 40 + int(rng.integers(0, 40))
+            for position in (far, -far):
+                lit = [
+                    GroupElement(LampConfig(tuple(sorted({**dict(g.lamps.entries), position: 2}.items()))), g.cursor)
+                    for g in (a, b)
+                ]
+                value, bound = emb.embedding_distance(*lit, ALPHA)
+                assert (value, bound) == emb.embedding_distance(a, b, ALPHA)
+                squared, slack, _ = embedding_image(multiply(inverse(lit[1]), lit[0]), ALPHA)
+                assert abs(value * value - squared) <= slack + bound * (2 * value + bound) + 1e-12 * squared
+
+    def test_every_distance_and_scan_element_is_one_norm_call(self, monkeypatch, rng):
+        calls = []
+        norm = emb.embedding_norm
+
+        def counted(g, alpha, eps=1e-6):
+            calls.append(g)
+            return norm(g, alpha, eps)
+
+        monkeypatch.setattr(emb, "embedding_norm", counted)
+        pairs = list(nearby_pairs(rng, 20))
+        for a, b in pairs:
+            emb.embedding_distance(a, b, ALPHA)
+        assert calls == [multiply(inverse(b), a) for a, b in pairs]
+        calls.clear()
+        elements = emb.random_elements(30, 3)
+        emb.compression_scan(ALPHA, elements, 1e-6)
+        assert calls == elements
 
     def test_mirror_is_a_symmetry_to_the_bit(self, rng):
         for a, b in nearby_pairs(rng, 80):
@@ -264,7 +309,7 @@ class TestImage:
     def test_parts_decompose_the_norm(self):
         g = element_from_text("2; 1:3")
         squared, slack, _ = embedding_image(g, ALPHA)
-        exact, phi, phi_slack = emb._squared_parts(g, IDENTITY, ALPHA, 1e-6)
+        exact, phi, phi_slack = emb._squared_parts(g, ALPHA, 1e-6)
         assert exact == 4 + 9  # cursor and lamp parts
         assert phi == pytest.approx(squared - exact, rel=1e-12, abs=slack + phi_slack)
 

@@ -167,6 +167,14 @@ class TestBall:
         with pytest.raises(ResourceLimitError):
             metric.ball(3)
 
+    def test_oracle_reads_the_cap_at_call_time(self, monkeypatch):
+        target = element_from_text("3;")
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 53)
+        assert metric.distance_bfs(IDENTITY, target, 3) == 3
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 52)
+        with pytest.raises(ResourceLimitError):
+            metric.distance_bfs(IDENTITY, target, 3)
+
 
 class TestProfile:
     def test_bracket_on_ball(self, ball8):
