@@ -15,7 +15,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from . import metric
+from . import markov, metric
 from .errors import ResourceLimitError, ValidationError
 from .group import GroupElement, LampConfig, encode
 
@@ -100,9 +100,11 @@ def host_by_name(name: str):
 
 
 def _check_count(count: int, what: str) -> None:
-    """Refuse, before it is built, a vertex set over metric.DEFAULT_BALL_CAP."""
+    """Refuse, before it is built, a vertex set over metric.DEFAULT_BALL_CAP or
+    one whose dense chain cannot fit."""
     if count > metric.DEFAULT_BALL_CAP:
         raise ResourceLimitError(f"{what} would have more than {metric.DEFAULT_BALL_CAP} elements, the cap")
+    markov.check_dense_chain(count)
 
 
 def interval(lo: int, hi: int) -> list[int]:

@@ -20,12 +20,14 @@ Three jobs live here:
   a float with an m-bit significand holds in any summation order when
   degree^t <= 2^m: a^t is float32 up to degree^t = 2^24, float64 up to 2^53,
   and refused past that. The replay then sums over each pair the chain can
-  couple once, as i <= j, bit for bit as the dense n x n sum. delayed_walk
-  (and the replay, on the core before it fattens it) refuses a chain whose dense
-  matrices would not fit in physical memory. delayed_walk keeps a off huge
-  pages: its few nonzeros touch a fraction of its 4 KiB pages, while a huge
-  page (numpy asks for them, the kernel grants one only when it has one
-  free) makes the 2 MiB around each touched entry resident.
+  couple once, as i <= j, bit for bit as the dense n x n sum. One guard,
+  check_dense_chain, refuses n states whose dense n x n arrays would not fit
+  in physical memory; delayed_walk calls it, the replay calls it on the core
+  before it fattens it, and the hosts' set builders call it before they build
+  a set at all. delayed_walk keeps a off huge pages: its few nonzeros touch a
+  fraction of its 4 KiB pages, while a huge page (numpy asks for them, the
+  kernel grants one only when it has one free) makes the 2 MiB around each
+  touched entry resident.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -49,6 +51,7 @@ __all__ = [
     "chain_residuals",
     "markov_type_sides",
     "random_reversible_chain",
+    "check_dense_chain",
     "delayed_walk",
     "folner_fatten",
     "empirical_modulus",
@@ -114,6 +117,19 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
     return math.fsum((weights * values).ravel().tolist())
 
 
+def _state_points(points, n: int) -> np.ndarray:
+    """points as floats, one finite row per state."""
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+        points = np.empty(0)
+    if points.ndim != 2 or points.shape[0] != n:
+        raise ValidationError("points must be one row of coordinates per state")
+    if not np.isfinite(points).all():
+        raise ValidationError("points must be finite")
+    return points
+
+
 def markov_type_sides(
     chain: FiniteChain, points: np.ndarray, p: float, tmax: int
 ) -> tuple[list[float], float]:
@@ -129,14 +145,7 @@ def markov_type_sides(
     if not 1 <= p < math.inf:  # nan fails too
         raise ValidationError("p must be finite and >= 1")
     chain.validate()
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.shape[0] != chain.n:
-        raise ValidationError("one point per state required")
-    if not np.isfinite(points).all():
-        raise ValidationError("points must be finite")
-    dp = _pairwise_power(points, p)
+    dp = _pairwise_power(_state_points(points, chain.n), p)
     pi = chain.pi[:, None]
     lhs = []
     at = np.eye(chain.n)
@@ -219,6 +228,12 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
 _DENSE_ARRAYS = 4
 
 
+def check_dense_chain(n: int) -> None:
+    """Refuse, before anything is built, n states whose dense chain would not
+    fit in physical memory."""
+    check_physical_memory(_DENSE_ARRAYS * 8 * n * n, f"the dense n x n arrays of {n} states")
+
+
 def delayed_walk(host, subset: Sequence) -> FiniteChain:
     """The delayed standard walk restricted to the subset.
 
@@ -228,7 +243,7 @@ def delayed_walk(host, subset: Sequence) -> FiniteChain:
     """
     subset = tuple(subset)
     n = len(subset)
-    check_physical_memory(_DENSE_ARRAYS * 8 * n * n, f"the dense n x n arrays of {n} states")
+    check_dense_chain(n)
     if not n:
         raise ValidationError("subset must be nonempty")
     index = {v: i for i, v in enumerate(subset)}
@@ -337,19 +352,13 @@ def delayed_walk_replay(
             f"degree^t = {host.degree}^{t} exceeds 2^53, past which float64 cannot hold a^t exactly"
         )
     core = set(core)  # the fattened set holds it, so refuse a core too big before the search
-    check_physical_memory(_DENSE_ARRAYS * 8 * len(core) ** 2, f"the dense n x n arrays of {len(core)} states")
-    core, fattened = folner_fatten(host, core, t)
+    check_dense_chain(len(core))
+    sorted_core, fattened = folner_fatten(host, core, t)
     chain = delayed_walk(host, fattened)
     chain.validate()
     n, vertices = chain.n, chain.states
-    index = {v: i for i, v in enumerate(vertices)}
-    core_indices = [index[v] for v in core]
-
-    points = np.asarray([emb(v) for v in vertices], dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if not np.isfinite(points).all():
-        raise ValidationError("embedding produced nonfinite coordinates")
+    in_core = np.fromiter((v in core for v in vertices), dtype=np.int64, count=n)
+    points = _state_points([emb(v) for v in vertices], n)
 
     narrowest = np.float32 if scale <= 2**24 else np.float64
     at = np.linalg.matrix_power(chain.a.astype(narrowest, copy=False), t)
@@ -373,7 +382,7 @@ def delayed_walk_replay(
             f"stretches to {float(emb_dist[k])}"
         )
 
-    attained = np.unique(host_dist)
+    attained, level = np.unique(host_dist, return_inverse=True)
     if rho is None:
         rho = empirical_modulus(host_dist.astype(float), emb_dist)
     rho_at = []
@@ -386,7 +395,6 @@ def delayed_walk_replay(
             raise ValidationError(f"rho is not nondecreasing at argument {d}")
         previous = value
         rho_at.append(value)
-    level = np.searchsorted(attained, host_dist)
     rho_pair = np.asarray(rho_at)[level]
     exceeded = np.flatnonzero(rho_pair > emb_dist + CHECK_TOL)
     if exceeded.size:
@@ -410,14 +418,12 @@ def delayed_walk_replay(
     orders = 1 + off_diagonal
     pair_weight = pi[ui] * at_pairs * orders
     full_avg = _weighted_sum(pair_weight, rho_p)
-    in_core = np.zeros(n, dtype=np.int64)
-    in_core[core_indices] = 1
     core_orders = in_core[ui] + in_core[uj] * off_diagonal  # ordered pairs starting in the core
     restricted_avg = _weighted_sum(at_pairs * core_orders, rho_p) / n
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
     # so the start does not matter
-    start = core[0]
+    start = sorted_core[0]
     deg = host.degree
     dist_now = {start: 1.0}
     for _ in range(t):
@@ -430,7 +436,7 @@ def delayed_walk_replay(
     free_term = math.fsum(
         mass * float(rho(float(host.distance(start, v)))) ** p for v, mass in dist_now.items()
     )
-    chain_lower = len(core_indices) / n * free_term
+    chain_lower = len(core) / n * free_term
 
     markov_lhs = _weighted_sum(pair_weight, emb_p)
     markov_rhs = t * _weighted_sum(pi[ui] * chain.a[ui, uj] * orders, emb_p)
@@ -455,7 +461,7 @@ def delayed_walk_replay(
             raise InvariantViolation(f"sandwich link failed: {name} ({lo} > {hi})")
 
     return ReplayReport(
-        core_size=len(core_indices),
+        core_size=len(core),
         fattened_size=n,
         ratio=(len(fattened) - len(core)) / len(core),
         t=t,

@@ -403,6 +403,20 @@ class TestMarkovCommands:
         assert (code, out) == (3, "")
         assert "more than 100 elements" in err
 
+    @pytest.mark.parametrize("command, flag", [("delayed", "--subset"), ("replay", "--F")])
+    def test_truncation_whose_chain_cannot_fit_exits_3_before_it_is_built(
+        self, capsys, monkeypatch, command, flag
+    ):
+        # 3:3:2 has 546,875 elements, under the cap, but their dense chain is far too big
+        def unreachable(*args):
+            raise AssertionError("the truncation was built")
+
+        monkeypatch.setattr(hosts, "GroupElement", unreachable)
+        argv = ["markov", command, "--host", "zwrz-trunc", flag, "3:3:2"] + ["--t", "1"] * (command == "replay")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "physical memory" in err
+
     def test_replay_core_over_physical_memory_exits_3_before_fattening(self, capsys, monkeypatch):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
@@ -473,6 +487,10 @@ STDOUT_SHA256 = [
      "56fa9d29327f6bc7346ca31c7f85289b91d41efc16dcd3efd13cb9a9707912de"),
     (("markov", "replay", "--host", "z2", "--F", "0:0:0:0", "--t", "13"),
      "0fcdcf7579a05ee734aadc95462dbc823e0830fdc02df87acf78875aec890cd9"),
+    (("markov", "replay", "--host", "zwrz-trunc", "--F", "1:1:1", "--t", "2"),
+     "067fb9840efe48731ca9c8fd80c033362a8bb94e74b1f84cbe0cae9869a86dec"),
+    (("markov", "delayed", "--host", "zwrz-trunc", "--subset", "1:1:1"),
+     "ede786bcbc54dc967ec5d65247a84773bdc6c8171b39a7c5cc5b1d905e41680b"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Finite reversible chains, the delayed subset walk, and the replay bounds."""
 
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from wreathlab import hosts, markov, metric
-from wreathlab.errors import InvariantViolation, ValidationError
+from wreathlab.errors import InvariantViolation, ResourceLimitError, ValidationError
 from wreathlab.group import IDENTITY, encode
 
 
@@ -123,8 +124,10 @@ class TestTypeInequality:
         for p in (0.5, math.nan, math.inf):
             with pytest.raises(ValidationError):
                 markov.markov_type_sides(chain, points, p, 1)
-        with pytest.raises(ValidationError):
-            markov.markov_type_sides(chain, np.zeros((3, 1)), 2.0, 1)
+        # one row per state: a flat array of one coordinate per state is refused too
+        for bad in (np.zeros((3, 1)), np.array([0.0, 1.0])):
+            with pytest.raises(ValidationError, match="one row"):
+                markov.markov_type_sides(chain, bad, 2.0, 1)
 
     def test_quick_random_campaign(self):
         report = markov.markov_type_campaign(40, 8, 32, seed=11)
@@ -291,6 +294,13 @@ class TestHostDistances:
         ]
 
 
+def test_interval_whose_chain_cannot_fit_is_refused_before_it_is_built():
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = math.isqrt(physical // 8) + 1  # one n x n float64 matrix alone is too big
+    with pytest.raises(ResourceLimitError, match="physical memory"):
+        hosts.interval(0, n)
+
+
 class TestFattening:
     def test_single_point_interval(self):
         host = hosts.host_by_name("z")
@@ -409,6 +419,15 @@ class TestReplay:
                 hosts.host_by_name("z"), hosts.interval(0, 5), 2, lambda v: (float(v),),
                 lambda s: math.nan,
             )
+
+    @pytest.mark.parametrize(
+        "emb", [lambda v: float(v), lambda v: (float(v),) * (1 + v % 2)], ids=["scalar", "ragged"]
+    )
+    def test_embedding_without_one_row_per_state_rejected(self, emb):
+        # emb returns a point, a sequence of coordinates, not a bare number; and
+        # every point has the same number of coordinates
+        with pytest.raises(ValidationError, match="one row"):
+            markov.delayed_walk_replay(hosts.host_by_name("z"), hosts.interval(-3, 3), 1, emb, lambda s: s)
 
     def test_asymmetric_power_is_an_invariant_violation(self, monkeypatch):
         # the sums take each coupled pair once, which needs a^t exactly symmetric
