@@ -145,6 +145,6 @@ def wreath_truncation(max_cursor: int, max_support: int, max_value: int) -> list
 
 
 def union_of_balls(host, centers: Iterable[Hashable], radius: int) -> list:
-    """Every vertex within radius of a center, sorted by host.sort_key."""
+    """Every vertex within radius of a center, sorted by host.sort_key (the replay's fattening)."""
     found = metric.breadth_first(centers, host.neighbors, radius)
     return sorted(found, key=host.sort_key)

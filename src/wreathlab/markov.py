@@ -8,9 +8,9 @@ Three jobs live here:
   and takes every side as one fsum (_weighted_sum), once per campaign chain;
 * construction of the delayed walk on a subset A of a host Cayley graph
   (step to an in-subset neighbor with probability 1/degree, stay put with the
-  leftover mass) together with the ball-union fattening that makes the delayed
-  walk indistinguishable from the free walk for t steps when started in the
-  core set;
+  leftover mass), which the replay runs on the core's ball union of radius t
+  (hosts.union_of_balls), where it is indistinguishable from the free walk for
+  t steps when started in the core set;
 * a replay of the resulting sandwich on concrete finite instances: the
   compression lower term never exceeds the Markov-type upper term. The
   replay takes a^t as a dense matrix power, the identity at t = 0, in the
@@ -19,15 +19,16 @@ Three jobs live here:
   product and partial sum of a^t is a multiple of degree^-t in [0, 1], which
   a float with an m-bit significand holds in any summation order when
   degree^t <= 2^m: a^t is float32 up to degree^t = 2^24, float64 up to 2^53,
-  and refused past that. The replay then sums over each pair the chain can
-  couple once, as i <= j, bit for bit as the dense n x n sum. One guard,
-  check_dense_chain, refuses n states whose dense n x n arrays would not fit
-  in physical memory; delayed_walk calls it, the replay calls it on the core
-  before it fattens it, and the hosts' set builders call it before they build
-  a set at all. delayed_walk keeps a off huge pages: its few nonzeros touch a
-  fraction of its 4 KiB pages, while a huge page (numpy asks for them, the
-  kernel grants one only when it has one free) makes the 2 MiB around each
-  touched entry resident.
+  and refused past that. The replay then sums over every ordered pair the
+  chain can couple, in row-major order: these are the nonzero terms of the
+  dense n x n sums, so each fsum is theirs bit for bit, and no symmetry of a
+  or a^t is assumed. One guard, check_dense_chain, refuses n states whose
+  dense n x n arrays would not fit in physical memory; delayed_walk calls it,
+  the replay calls it on the core before it fattens it, and the hosts' set
+  builders call it before they build a set at all. delayed_walk keeps a off
+  huge pages: its few nonzeros touch a fraction of its 4 KiB pages, while a
+  huge page (numpy asks for them, the kernel grants one only when it has one
+  free) makes the 2 MiB around each touched entry resident.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -53,7 +54,6 @@ __all__ = [
     "random_reversible_chain",
     "check_dense_chain",
     "delayed_walk",
-    "folner_fatten",
     "empirical_modulus",
     "ReplayReport",
     "delayed_walk_replay",
@@ -264,18 +264,6 @@ def delayed_walk(host, subset: Sequence) -> FiniteChain:
     return FiniteChain(subset, np.full(n, 1.0 / n), a)
 
 
-def folner_fatten(host, core: Sequence, radius: int) -> tuple[tuple, tuple]:
-    """(core, fattened): the sorted core set and its union of radius balls."""
-    from .hosts import union_of_balls
-
-    if radius < 0:
-        raise ValidationError("radius must be nonnegative")
-    core_tuple = tuple(sorted(set(core), key=host.sort_key))
-    if not core_tuple:
-        raise ValidationError("core set must be nonempty")
-    return core_tuple, tuple(union_of_balls(host, core_tuple, radius))
-
-
 def empirical_modulus(distances: Sequence[float], norms: Sequence[float]) -> Callable[[float], float]:
     """Largest nondecreasing minorant: s -> min of norms over distance >= s."""
     distances = np.asarray(distances, dtype=float)
@@ -351,25 +339,23 @@ def delayed_walk_replay(
         raise ValidationError(
             f"degree^t = {host.degree}^{t} exceeds 2^53, past which float64 cannot hold a^t exactly"
         )
+    from . import hosts  # hosts imports this module
+
     core = set(core)  # the fattened set holds it, so refuse a core too big before the search
     check_dense_chain(len(core))
-    sorted_core, fattened = folner_fatten(host, core, t)
-    chain = delayed_walk(host, fattened)
+    chain = delayed_walk(host, hosts.union_of_balls(host, core, t))
     chain.validate()
     n, vertices = chain.n, chain.states
-    in_core = np.fromiter((v in core for v in vertices), dtype=np.int64, count=n)
+    in_core = np.fromiter((v in core for v in vertices), dtype=bool, count=n)
     points = _state_points([emb(v) for v in vertices], n)
 
     narrowest = np.float32 if scale <= 2**24 else np.float64
     at = np.linalg.matrix_power(chain.a.astype(narrowest, copy=False), t)
-    # every pair the chain can couple, once, as i <= j in row-major order
-    ui, uj = np.nonzero(np.triu((chain.a > 0) | (at > 0)))
-    # pi is uniform, so the sums below take (j, i) as a second copy of (i, j)
-    if not (np.array_equal(at[ui, uj], at[uj, ui]) and np.array_equal(chain.a[ui, uj], chain.a[uj, ui])):
-        raise InvariantViolation("a or a^t is not exactly symmetric on the coupled pairs")
-    at_pairs = at[ui, uj].astype(float)  # float32 widens to float64 exactly
-    host_dist = host.distances(vertices, ui, uj)
-    diff = points[ui] - points[uj]
+    # every ordered pair the chain can couple, in row-major order
+    i, j = np.nonzero((chain.a > 0) | (at > 0))
+    at_pairs = at[i, j].astype(float)  # float32 widens to float64 exactly
+    host_dist = host.distances(vertices, i, j)
+    diff = points[i] - points[j]
     emb_dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
 
     edges = host_dist == 1
@@ -378,7 +364,7 @@ def delayed_walk_replay(
     if stretched.size:
         k = stretched[0]
         raise ValidationError(
-            f"embedding is not 1-Lipschitz: pair ({vertices[ui[k]]}, {vertices[uj[k]]}) "
+            f"embedding is not 1-Lipschitz: pair ({vertices[i[k]]}, {vertices[j[k]]}) "
             f"stretches to {float(emb_dist[k])}"
         )
 
@@ -400,7 +386,7 @@ def delayed_walk_replay(
     if exceeded.size:
         k = exceeded[0]
         raise ValidationError(
-            f"rho exceeds the embedding gap on pair ({vertices[ui[k]]}, {vertices[uj[k]]}): "
+            f"rho exceeds the embedding gap on pair ({vertices[i[k]]}, {vertices[j[k]]}): "
             f"rho({int(host_dist[k])}) = {rho_at[level[k]]} > {float(emb_dist[k])}"
         )
 
@@ -409,21 +395,17 @@ def delayed_walk_replay(
     rho_p = np.asarray([r**p for r in rho_at])[level]
     emb_p = emb_dist**p
 
-    # each term is (pi_i * w_ij) * x_ij, as in a dense n x n sum, weighted by
-    # the ordered pairs it stands for: (i, j) and (j, i) give equal floats, and
-    # doubling is exact on either factor, so every fsum is as it was. The pairs
+    # each term is (pi_i * w_ij) * x_ij, as in a dense n x n sum; the pairs
     # left out contribute exact zeros, which fsum ignores
     pi = chain.pi
-    off_diagonal = ui != uj
-    orders = 1 + off_diagonal
-    pair_weight = pi[ui] * at_pairs * orders
+    pair_weight = pi[i] * at_pairs
     full_avg = _weighted_sum(pair_weight, rho_p)
-    core_orders = in_core[ui] + in_core[uj] * off_diagonal  # ordered pairs starting in the core
-    restricted_avg = _weighted_sum(at_pairs * core_orders, rho_p) / n
+    from_core = in_core[i]
+    restricted_avg = _weighted_sum(at_pairs[from_core], rho_p[from_core]) / n
 
     # free walk for t steps from one core vertex; the host is vertex-transitive
     # so the start does not matter
-    start = sorted_core[0]
+    start = min(core, key=host.sort_key)
     deg = host.degree
     dist_now = {start: 1.0}
     for _ in range(t):
@@ -439,7 +421,7 @@ def delayed_walk_replay(
     chain_lower = len(core) / n * free_term
 
     markov_lhs = _weighted_sum(pair_weight, emb_p)
-    markov_rhs = t * _weighted_sum(pi[ui] * chain.a[ui, uj] * orders, emb_p)
+    markov_rhs = t * _weighted_sum(pi[i] * chain.a[i, j], emb_p)
     upper = float(t)  # K^p t with K = 1
 
     if abs(restricted_avg - chain_lower) > CHECK_TOL * max(1.0, abs(chain_lower)):
@@ -463,7 +445,7 @@ def delayed_walk_replay(
     return ReplayReport(
         core_size=len(core),
         fattened_size=n,
-        ratio=(len(fattened) - len(core)) / len(core),
+        ratio=(n - len(core)) / len(core),
         t=t,
         p=p,
         lipschitz_max=lipschitz_max,

@@ -491,6 +491,12 @@ STDOUT_SHA256 = [
      "067fb9840efe48731ca9c8fd80c033362a8bb94e74b1f84cbe0cae9869a86dec"),
     (("markov", "delayed", "--host", "zwrz-trunc", "--subset", "1:1:1"),
      "ede786bcbc54dc967ec5d65247a84773bdc6c8171b39a7c5cc5b1d905e41680b"),
+    (("markov", "replay", "--host", "zwrz-trunc", "--F", "2:1:1", "--t", "2"),
+     "2284491170b3ac472eb509c126903a411e76cd607cb57016b770da1dd42ff961"),
+    (("markov", "replay", "--host", "z", "--F", "0:5", "--t", "3", "--p", "1"),
+     "ee999f4a1f1328ab94a4403b580208a45070603a90ea0a4ff634f7b156b443b5"),
+    (("markov", "replay", "--host", "z2", "--F", "0:3:0:3", "--t", "3", "--p", "1.5"),
+     "31a17518c39cd60e5ed265d50ace5ebd7b8535ddb507943deb565cf78882bc63"),
 ]
 
 

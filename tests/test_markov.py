@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wreathlab import hosts, markov, metric
-from wreathlab.errors import InvariantViolation, ResourceLimitError, ValidationError
+from wreathlab.errors import ResourceLimitError, ValidationError
 from wreathlab.group import IDENTITY, encode
 
 
@@ -69,7 +69,7 @@ class TestResidualsOracle:
 
     def test_wreath_delayed_walk(self):
         host = hosts.host_by_name("zwrz")
-        _, fattened = markov.folner_fatten(host, hosts.wreath_truncation(1, 1, 1), 1)
+        fattened = hosts.union_of_balls(host, hosts.wreath_truncation(1, 1, 1), 1)
         chain = markov.delayed_walk(host, fattened)
         assert markov.chain_residuals(chain) == dense_residuals(chain)
 
@@ -285,7 +285,7 @@ class TestHostDistances:
     )
     def test_equal_to_scalar_on_a_fattened_set(self, host_name, core, radius):
         host = hosts.host_by_name(host_name)
-        _, vertices = markov.folner_fatten(host, core, radius)
+        vertices = hosts.union_of_balls(host, core, radius)
         i, j = np.triu_indices(len(vertices))
         got = host.distances(vertices, i, j)
         assert got.dtype == np.int64
@@ -304,14 +304,16 @@ def test_interval_whose_chain_cannot_fit_is_refused_before_it_is_built():
 class TestFattening:
     def test_single_point_interval(self):
         host = hosts.host_by_name("z")
-        core, fattened = markov.folner_fatten(host, hosts.interval(0, 0), 2)
+        core = hosts.interval(0, 0)
+        fattened = hosts.union_of_balls(host, core, 2)
         assert sorted(fattened) == [-2, -1, 0, 1, 2]
         assert len(fattened) - len(core) == 4
 
     def test_interval_growth_ratio(self):
         host = hosts.host_by_name("z")
         n, t = 30, 3
-        core, fattened = markov.folner_fatten(host, hosts.interval(-n, n), t)
+        core = hosts.interval(-n, n)
+        fattened = hosts.union_of_balls(host, core, t)
         assert len(fattened) - len(core) == 2 * t
         # the replay reports the fattening's overhead ratio
         report = markov.delayed_walk_replay(
@@ -328,7 +330,7 @@ class TestFattening:
     def test_core_is_contained(self):
         host = hosts.host_by_name("z2")
         core = hosts.box(-2, 2, -2, 2)
-        _, fattened = markov.folner_fatten(host, core, 2)
+        fattened = hosts.union_of_balls(host, core, 2)
         assert set(core) <= set(fattened)
 
 
@@ -429,25 +431,47 @@ class TestReplay:
         with pytest.raises(ValidationError, match="one row"):
             markov.delayed_walk_replay(hosts.host_by_name("z"), hosts.interval(-3, 3), 1, emb, lambda s: s)
 
-    def test_asymmetric_power_is_an_invariant_violation(self, monkeypatch):
-        # the sums take each coupled pair once, which needs a^t exactly symmetric
+    def test_asymmetric_power_is_summed_term_by_term(self, monkeypatch):
+        # no symmetry of a^t is assumed: each ordered pair is its own dense term
         power = np.linalg.matrix_power
+        taken = []
 
         def skewed(a, t):
             at = power(a, t)
             at[0, 1] = np.nextafter(at[0, 1], np.inf)  # one ulp in the dtype of a^t
+            taken.append(at)
             return at
 
         monkeypatch.setattr(np.linalg, "matrix_power", skewed)
-        with pytest.raises(InvariantViolation, match="symmetric"):
-            markov.delayed_walk_replay(
-                hosts.host_by_name("z"), hosts.interval(0, 5), 2, lambda v: (float(v),), lambda s: s
-            )
+        host, core = hosts.host_by_name("z"), hosts.interval(0, 5)
+        report = markov.delayed_walk_replay(host, core, 2, lambda v: (float(v),), lambda s: s)
+        (at,) = taken
+        assert at[0, 1] != at[1, 0]
+        x = np.array(hosts.union_of_balls(host, core, 2), dtype=float)
+        pi = np.full(len(x), 1.0 / len(x))
+        gap_p = (x[:, None] - x[None, :]) ** 2  # rho is the identity: both sums weigh the same
+        want = math.fsum((pi[:, None] * at.astype(float) * gap_p).ravel().tolist())
+        assert report.full_avg == want
+        assert report.markov_lhs == want
+
+    def test_core_order_does_not_matter_and_empty_is_refused(self, monkeypatch):
+        host = hosts.host_by_name("zwrz")
+        core = hosts.wreath_truncation(1, 1, 1)
+        want = markov.delayed_walk_replay(host, core, 2, wreath_coordinates, None)
+        for given in (list(reversed(core)), set(core)):
+            assert markov.delayed_walk_replay(host, given, 2, wreath_coordinates, None) == want
+
+        def unreachable(*args):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(markov, "delayed_walk", unreachable)
+        with pytest.raises(ValidationError, match="at least one center"):
+            markov.delayed_walk_replay(host, [], 2, wreath_coordinates, None)
 
 
 def dense_replay(host, core, t, emb, rho, p=2.0):
     """The replay's sums as dense n x n formulas over the full matrix power."""
-    core, fattened = markov.folner_fatten(host, core, t)
+    core, fattened = set(core), hosts.union_of_balls(host, core, t)
     chain = markov.delayed_walk(host, fattened)
     n, vertices, pi = chain.n, chain.states, chain.pi
     points = np.array([emb(v) for v in vertices], dtype=float).reshape(n, -1)
@@ -551,7 +575,7 @@ class TestReplayOracle:
         monkeypatch.setattr(np.linalg, "matrix_power", recorded)
         markov.delayed_walk_replay(host, core, t, emb, None)
         (at,) = taken
-        chain = markov.delayed_walk(host, markov.folner_fatten(host, core, t)[1])
+        chain = markov.delayed_walk(host, hosts.union_of_balls(host, core, t))
         assert at.dtype == narrowest
         assert np.array_equal(at, power(chain.a, t))
 
