@@ -106,8 +106,8 @@ class _OutputSink:
     Each command builds its sink before doing any work, so the manifest's
     wallClockSeconds covers the whole command, not just the file writes. The
     manifest's stages hold the seconds spent inside each stage() block (the
-    file writes count under "write"), and its counters what the command put
-    there.
+    file writes count under "write"), and its counters and margins what the
+    command put there.
     """
 
     def __init__(self, out_dir: str, command: str, config: dict, seed):
@@ -119,6 +119,7 @@ class _OutputSink:
         self.files: dict[str, str] = {}
         self.stages: dict[str, float] = {}
         self.counters: dict[str, int] = {}
+        self.margins: dict[int, float] = {}
 
     def add(self, name: str, body: str) -> None:
         self.files[name] = body
@@ -149,6 +150,7 @@ class _OutputSink:
             "wallClockSeconds": time.monotonic() - self.started,
             "stages": self.stages,
             "counters": self.counters,
+            "margins": self.margins,
             "outputs": checksums,
         }
         payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -467,6 +469,7 @@ def _cmd_pipeline(ns) -> int:
             threshold = c * t**fit.beta_hat
             lhs = rho_hat(threshold)
             rhs = markov.compression_bound(delta_min, t)
+            sink.margins[t] = rhs - lhs
             checks.append(
                 {"t": t, "threshold": threshold, "rhoHat": lhs, "bound": rhs, "pass": lhs <= rhs}
             )

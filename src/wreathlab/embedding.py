@@ -25,7 +25,12 @@ stops at the first order whose remainder certifies; the reported errorBound
 covers that truncation and always lands at or below the requested eps. The
 series depends only on (delta, m0, alpha, tol), and a scan meets few distinct
 ones (21 in the pipeline's 1,200 norms), so each is computed once per process
-and kept in a bounded cache.
+and kept in a bounded cache. The zeta values come from hurwitz_zeta, a
+line-for-line port of the Cephes routine behind scipy.special.zeta (direct
+sum, Euler-Maclaurin tail, asymptotic form past q = 1e8). It returns scipy's
+double bit for bit, which the tests check over the series' orders and shifts
+and on each branch, and it keeps scipy off the import path. Like scipy's
+value, it enters the series with no error term of its own.
 
 One routine sums the window of the right half-lines; the left side is its
 mirror image n -> -n (cursor and support negated). It never compares
@@ -44,7 +49,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from . import metric
 from .errors import EstimationError, ResourceLimitError, ValidationError
@@ -53,6 +57,7 @@ from .group import (
 )
 
 __all__ = [
+    "hurwitz_zeta",
     "embedding_distance",
     "embedding_norm",
     "LipschitzAudit",
@@ -78,6 +83,66 @@ TAIL_CACHE_SIZE = 4096
 # the balanced families that the worst-case fit and the pipeline scan sweep
 BALANCED_PREFACTORS = (1, 2, 4, 8, 16)
 BALANCED_MAX_DISTANCE = 200
+
+
+# Cephes: machine epsilon 2^-53, and the Euler-Maclaurin coefficients (2k)!/B_2k
+MACHEP = 1.11022302462515654042e-16
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+    -1.8924375803183791606e9,  # 1.307674368e12/691
+    7.47242496e10,
+    -2.950130727918164224e12,  # 1.067062284288e16/3617
+    1.1646782814350067249e14,  # 5.109094217170944e18/43867
+    -4.5979787224074726105e15,  # 8.028576626982912e20/174611
+    1.8152105401943546773e17,  # 1.5511210043330985984e23/854513
+    -7.1661652561756670113e18,  # 1.6938241367317436694528e27/236364091
+)
+
+
+def hurwitz_zeta(s: float, q: float) -> float:
+    """zeta(s, q) = sum_{m >= 0} (m + q)^-s for s > 1, q > 0 and |s log q| < 700,
+    where q^-s lies well inside the float range.
+
+    A line-for-line port of Cephes zeta (scipy.special.zeta), operation for
+    operation through math.pow, so it returns the same double: sum terms
+    directly, at least 9 and on until m + q > 9, stopping once a term drops
+    below MACHEP relative; then add the Euler-Maclaurin tail at w = m + q,
+    b w/(s-1) - b/2 + sum_k (s)_{2k-1} b / w^(2k-1) / ((2k)!/B_2k), stopping
+    at the first term below MACHEP relative. Past q = 1e8 it returns the
+    asymptotic form (1/(s-1) + 1/(2q)) q^(1-s) (DLMF 25.11.43).
+    """
+    if not (s > 1.0 and q > 0.0 and abs(s * math.log(q)) < 700.0):
+        raise ValidationError("hurwitz_zeta needs s > 1, q > 0 and |s log q| < 700")
+    if q > 1e8:
+        return (1 / (s - 1) + 1 / (2 * q)) * math.pow(q, 1 - s)
+    total = math.pow(q, -s)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -s)
+        total += b
+        if abs(b / total) < MACHEP:
+            return total
+    w = a
+    total += b * w / (s - 1.0)
+    total -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coefficient in _ZETA_A:
+        a *= s + k
+        b /= w
+        t = a * b / coefficient
+        total = total + t
+        if abs(t / total) < MACHEP:
+            return total
+        k += 1.0
+        a *= s + k
+        b /= w
+        k += 1.0
+    return total
 
 
 def _check_alpha(alpha: float) -> float:
@@ -120,7 +185,7 @@ def shifted_power_tail(delta: int, m0: int, alpha: float, tol: float) -> tuple[f
         c_p = math.fsum(b[j - 1] * b[p - j - 1] for j in range(1, p))
         s = p - 2 * alpha
         if s * log_m0 < 700.0:
-            zr = float(zeta(s, m0)) * m0**s  # in [1, 1 + m0/(s-1)]
+            zr = hurwitz_zeta(s, float(m0)) * m0**s  # in [1, 1 + m0/(s-1)]
         else:
             # beyond float range; bracket zeta by the integral comparison
             zr = 0.5 + m0 / (s - 1)

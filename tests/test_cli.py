@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -653,6 +655,22 @@ class TestPipeline:
         assert manifest["counters"] == {
             "walkSteps": 200 * 4096, "normsCertified": 1200, "tailSeries": 21,
         }
+        # the margin bound - rhoHat of each check, keyed by t
+        checks = {str(check["t"]): check for check in payload["checks"]}
+        assert set(manifest["margins"]) == set(checks)
+        for t, margin in manifest["margins"].items():
+            assert margin == checks[t]["bound"] - checks[t]["rhoHat"]
+            assert margin >= 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI pulls in
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, wreathlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def _flag_table(parser, path=()):

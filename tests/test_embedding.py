@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from wreathlab import embedding as emb, metric
 from wreathlab.errors import EstimationError, ValidationError
@@ -63,6 +64,49 @@ class TestCoefficients:
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(ValidationError):
                 emb.embedding_norm(element_from_text("1;"), bad)
+
+
+class TestHurwitzZeta:
+    """The in-package port returns scipy's double exactly, on the tail series' domain."""
+
+    @staticmethod
+    def assert_equals_scipy(s, q):
+        assert emb.hurwitz_zeta(s, q) == float(scipy.special.zeta(s, q)), (s, q)
+
+    def test_equals_scipy_on_the_series_grid(self):
+        # the orders and shifts shifted_power_tail meets, where s log q < 700;
+        # every point takes the Euler-Maclaurin tail and its early exit
+        rng = np.random.default_rng(2024)
+        shifts = [16.0, 17.0, 64.0, 1000.0, 4.0 * 2**17, 1e7]
+        shifts += [float(q) for q in np.exp(rng.uniform(math.log(16), math.log(1e8), 12))]
+        for alpha in (0.05, 0.25, 0.45, 0.49):
+            for p in range(2, 61):
+                s = p - 2 * alpha
+                for q in shifts:
+                    if s * math.log(q) < 700.0:
+                        self.assert_equals_scipy(s, q)
+
+    @pytest.mark.parametrize("s, q", [
+        # the direct sum's terms fall below MACHEP relative: early exit, and at
+        # (30.8, 4.0) a looser threshold would move the last bit
+        (99.1, 16.0), (30.8, 4.0), (40.5, 0.5),
+        # the Euler-Maclaurin tail: s near 1, and 9 of its 12 terms, the most any
+        # point of the domain takes (so the last three coefficients never act)
+        (1.02, 16.0), (150.8, 74.5),
+        (2.0, 1.0),  # a shift below 9: the direct sum runs on past a = 9
+        (3.1, 1e8),  # the last shift summed directly
+        (3.1, 1e8 + 1), (38.0, 1e8 + 1),  # the asymptotic branch
+    ])
+    def test_equals_scipy_on_each_branch(self, s, q):
+        self.assert_equals_scipy(s, q)
+
+    @pytest.mark.parametrize("s, q", [
+        (1.0, 16.0), (0.5, 16.0), (2.0, 0.0), (2.0, -1.5), (math.nan, 16.0), (2.0, math.nan),
+        (700.0 / math.log(16.0), 16.0), (300.0, 0.05),  # q^-s near the ends of the float range
+    ])
+    def test_outside_the_domain_is_refused(self, s, q):
+        with pytest.raises(ValidationError):
+            emb.hurwitz_zeta(s, q)
 
 
 class TestTailSeries:
