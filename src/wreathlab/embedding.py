@@ -37,8 +37,9 @@ mirror image n -> -n (cursor and support negated). It never compares
 restrictions: the element's restriction to [n, inf) is empty, as the
 identity's is, exactly when n is past its last lamp. A window longer than
 metric.DEFAULT_BALL_CAP positions is refused before it is summed.
-compression_scan fits the shape of given elements: a family below, the ball,
-or random_elements.
+compression_scan fits the shape of given elements (a family below, the ball,
+or random_elements) with walk.fit_power_law, and worst_balanced_exponent is
+one scan per balanced family.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import metric
-from .errors import EstimationError, ResourceLimitError, ValidationError
+from . import metric, walk
+from .errors import ResourceLimitError, ValidationError
 from .group import (
     GroupElement, IDENTITY, LampConfig, canonical_generators, encode, generator_names, inverse, multiply,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "lipschitz_audit",
     "CompressionReport",
     "norm_observations",
-    "fit_exponent",
     "compression_scan",
     "ball_elements",
     "pure_cursor_family",
@@ -324,23 +324,6 @@ def norm_observations(
     return out
 
 
-def fit_exponent(observations: Sequence[tuple[int, float, float]]) -> tuple[float, float]:
-    """(slope, intercept) of log norm against log distance."""
-    if len(observations) < 4:
-        raise EstimationError("need >= 4 observations for the exponent fit")
-    distances = np.array([d for d, _, _ in observations], dtype=float)
-    norms = np.array([v for _, v, _ in observations], dtype=float)
-    if np.all(distances == distances[0]):
-        raise EstimationError("degenerate sample: all observations at one distance")
-    if np.any(norms <= 0):
-        raise EstimationError("nonpositive norm in observations")
-    x = np.log(distances)
-    y = np.log(norms)
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return (float(slope), float(intercept))
-
-
 def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> CompressionReport:
     """Record (distance, certified norm, error bound) of each element, fit the shape.
 
@@ -350,11 +333,11 @@ def compression_scan(alpha: float, elements: list[GroupElement], eps: float) -> 
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
     observations = norm_observations(elements, alpha, eps)
-    slope, _ = fit_exponent(observations)
+    fit = walk.fit_power_law([d for d, _, _ in observations], [v for _, v, _ in observations])
     shape = lower_shape_exponent(alpha)
     lower_constant = min(v / d**shape for d, v, _ in observations)
     lipschitz_max = max(v / d for d, v, _ in observations)
-    return CompressionReport(alpha, tuple(observations), slope, lower_constant, lipschitz_max)
+    return CompressionReport(alpha, tuple(observations), fit.beta_hat, lower_constant, lipschitz_max)
 
 
 def ball_elements(radius: int) -> list[GroupElement]:
@@ -409,14 +392,11 @@ def worst_balanced_exponent(alpha: float, eps: float = 1e-6) -> tuple[float, dic
     Larger prefactors weight lamp mass over travel, which is where the
     lower-bound shape is tight; the sweep's minimum is the honest worst case.
     """
-    fits: dict[float, float] = {}
-    for prefactor in BALANCED_PREFACTORS:
-        family = balanced_family(alpha, prefactor)
-        observations = norm_observations(family, alpha, eps)
-        slope, _ = fit_exponent(observations)
-        fits[prefactor] = slope
-    worst = min(fits.values())
-    return (worst, fits)
+    fits = {
+        prefactor: compression_scan(alpha, balanced_family(alpha, prefactor), eps).fitted_exponent
+        for prefactor in BALANCED_PREFACTORS
+    }
+    return (min(fits.values()), fits)
 
 
 def random_elements(count: int, seed: int) -> list[GroupElement]:

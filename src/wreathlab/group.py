@@ -12,6 +12,7 @@ lamp, so equality is structural.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import EncodingError, ValidationError
@@ -134,32 +135,38 @@ def encode(a: GroupElement) -> bytes:
     return _to_text(a).encode("utf-8")
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str, what: str, offset: int) -> int:
+    """An optional sign and ASCII digits, around which whitespace is ignored."""
+    token = token.strip()
+    if not _INTEGER.fullmatch(token):
+        raise EncodingError(f"{what} is not an integer", offset)
+    return int(token)
+
+
 def decode(data: bytes) -> GroupElement:
     """Inverse of encode. Raises EncodingError with a byte offset on bad input.
 
-    Accepted grammar (whitespace around tokens is ignored):
+    Accepted grammar (ASCII; whitespace around tokens is ignored):
         cursor ";" [entry ("," entry)*]      entry = position ":" value
-    Positions must be strictly increasing and values nonzero, so every
-    accepted input is already in canonical form.
+    where each integer is an optional sign and decimal digits. Positions must
+    be strictly increasing and values nonzero, so every accepted input is
+    already in canonical form.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError("invalid UTF-8", exc.start) from None
-
-    def offset_of(index: int) -> int:
-        # byte offset of a character index; the grammar is ASCII so these
-        # usually coincide, but stay correct for any input
-        return len(text[:index].encode("utf-8"))
+    if not text.isascii():
+        # held to ASCII, a character index below is also a byte offset
+        raise EncodingError("non-ASCII byte", next(i for i, byte in enumerate(data) if byte > 127))
 
     semi = text.find(";")
     if semi < 0:
         raise EncodingError("missing ';' after cursor", len(data))
-    cursor_token = text[:semi].strip()
-    try:
-        cursor = int(cursor_token, 10)
-    except ValueError:
-        raise EncodingError("cursor is not an integer", 0) from None
+    cursor = _integer(text[:semi], "cursor", 0)
 
     rest = text[semi + 1 :]
     if not rest.strip():
@@ -171,25 +178,13 @@ def decode(data: bytes) -> GroupElement:
     for chunk in rest.split(","):
         colon = chunk.find(":")
         if colon < 0:
-            raise EncodingError("lamp entry is missing ':'", offset_of(chunk_start))
-        pos_token = chunk[:colon].strip()
-        val_token = chunk[colon + 1 :].strip()
-        try:
-            position = int(pos_token, 10)
-        except ValueError:
-            raise EncodingError("lamp position is not an integer", offset_of(chunk_start)) from None
-        try:
-            value = int(val_token, 10)
-        except ValueError:
-            raise EncodingError(
-                "lamp value is not an integer", offset_of(chunk_start + colon + 1)
-            ) from None
+            raise EncodingError("lamp entry is missing ':'", chunk_start)
+        position = _integer(chunk[:colon], "lamp position", chunk_start)
+        value = _integer(chunk[colon + 1 :], "lamp value", chunk_start + colon + 1)
         if value == 0:
-            raise EncodingError("lamp value must be nonzero", offset_of(chunk_start + colon + 1))
+            raise EncodingError("lamp value must be nonzero", chunk_start + colon + 1)
         if last_position is not None and position <= last_position:
-            raise EncodingError(
-                "lamp positions must be strictly increasing", offset_of(chunk_start)
-            )
+            raise EncodingError("lamp positions must be strictly increasing", chunk_start)
         last_position = position
         entries.append((position, value))
         chunk_start += len(chunk) + 1

@@ -20,6 +20,10 @@ the lamp steps, collects each interval's increments, and a cumulative sum down
 the rows turns them into the lamps. One metric.distances call per trial reads
 every displacement off that table, and each row's lamp mass splits it exactly
 into lamp mass plus cursor travel.
+
+fit_power_law is the package's one log-log least-squares line: estimate_beta
+fits displacement against time with it, embedding.compression_scan norm
+against distance.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "TailEstimate",
     "DYADIC_TIMES",
     "simulate",
+    "fit_power_law",
     "estimate_beta",
     "estimate_tail",
     "median_rule_constant",
@@ -238,41 +243,39 @@ def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSa
     return WalkSample(group, times, rows, seed, lamp_mass)
 
 
-def estimate_beta(sample: WalkSample, statistic: str = "mean") -> BetaFit:
-    """Least-squares slope of log displacement against log time.
+def fit_power_law(x: Sequence[float], y: Sequence[float]) -> BetaFit:
+    """The least-squares line of log y against log x: the exponent (beta_hat)
+    and log prefactor of y ~ x^beta, its r2 and the exponent's standard error.
 
-    statistic selects the per-time summary ("mean" is the contract default,
-    "median" is reported alongside by the CLI). Requires at least 4 distinct
-    times with a positive summary value.
+    Requires at least 4 points, every value positive, and abscissas that do
+    not all agree (np.allclose on their logs).
     """
-    if statistic == "mean":
-        summary = sample.mean_displacement()
-    elif statistic == "median":
-        summary = sample.median_displacement()
-    else:
-        raise ValidationError("statistic must be 'mean' or 'median'")
-    times = np.array(sample.times, dtype=float)
-    keep = (times > 0) & (summary > 0)
-    if keep.sum() < 4:
-        raise EstimationError("need >= 4 times with positive displacement")
-    x = np.log(times[keep])
-    y = np.log(summary[keep])
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 4:
+        raise EstimationError("need >= 4 points for the power-law fit")
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise EstimationError("nonpositive value in the power-law fit")
+    x, y = np.log(x), np.log(y)
     if np.allclose(x, x[0]):
-        raise EstimationError("degenerate time grid")
+        raise EstimationError("degenerate sample: every point at one abscissa")
     design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), residual, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ np.array([slope, intercept])
-    ss_res = float(np.sum((y - fitted) ** 2))
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    ss_res = float(np.sum((y - design @ np.array([slope, intercept])) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    dof = len(x) - 2
-    if dof > 0:
-        sigma2 = ss_res / dof
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        stderr = math.sqrt(sigma2 / sxx)
-    else:
-        stderr = 0.0
+    stderr = math.sqrt(ss_res / (len(x) - 2) / float(np.sum((x - x.mean()) ** 2)))
     return BetaFit(float(slope), float(intercept), r2, stderr)
+
+
+def estimate_beta(sample: WalkSample, statistic: str = "mean") -> BetaFit:
+    """fit_power_law of the per-time summary ("mean" is the contract default,
+    "median" is reported alongside by the CLI) against time, where both are positive."""
+    if statistic not in ("mean", "median"):
+        raise ValidationError("statistic must be 'mean' or 'median'")
+    summary = sample.mean_displacement() if statistic == "mean" else sample.median_displacement()
+    times = np.array(sample.times, dtype=float)
+    keep = (times > 0) & (summary > 0)
+    return fit_power_law(times[keep], summary[keep])
 
 
 def estimate_tail(sample: WalkSample, c: float, beta: float) -> TailEstimate:

@@ -64,6 +64,14 @@ class TestMetricCommand:
         payload = read_json(out)
         assert payload["oracle"] == payload["total"]
 
+    def test_oracle_disagreement_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(metric, "distance_bfs", lambda a, b, max_radius: 99)
+        code, out, err = run_cli(capsys, "metric", "--a", "0; 2:3", "--b", "0;", "--oracle")
+        assert code == 2
+        assert err == "invariant violated: closed form 7 disagrees with search oracle 99\n"
+        payload = read_json(out)
+        assert (payload["total"], payload["oracle"]) == (7, 99)
+
     def test_oracle_at_radius_9_passes(self, capsys):
         code, out, _ = run_cli(capsys, "metric", "--a", "9;", "--b", "0;", "--oracle")
         assert code == 0
@@ -283,6 +291,18 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "--config", cfg, "bound", "--beta", "0.75")
         assert code == 1
 
+    def test_config_value_that_does_not_parse(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, "trials = many\n")
+        code, out, err = run_cli(capsys, "--config", cfg, "walk", "--group", "z", "--out", str(tmp_path / "w"))
+        assert (code, out) == (1, "")
+        assert err == "error: config value for 'trials' is not valid\n"
+
+    def test_env_seed_that_is_not_an_integer(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("WREATH_SEED", "seven")
+        code, out, err = run_cli(capsys, "walk", "--group", "z", "--out", str(tmp_path / "w"))
+        assert (code, out) == (1, "")
+        assert err == "error: WREATH_SEED must be an integer\n"
+
 
 class TestMarkovCommands:
     def test_verify_small(self, capsys):
@@ -305,6 +325,19 @@ class TestMarkovCommands:
     def test_delayed_bad_spec(self, capsys):
         code, _, _ = run_cli(capsys, "markov", "delayed", "--host", "z", "--subset", "0:1:2")
         assert code == 1
+
+    def test_delayed_spec_that_is_not_integers(self, capsys):
+        code, _, err = run_cli(capsys, "markov", "delayed", "--host", "z", "--subset", "0:x")
+        assert code == 1
+        assert err == "error: subset spec '0:x' must be colon-separated integers\n"
+
+    def test_failed_campaign_exits_2(self, capsys, monkeypatch):
+        report = {"pass": False, "maxViolation": 0.5}
+        monkeypatch.setattr(markov, "markov_type_campaign", lambda chains, max_states, tmax, seed: report)
+        code, out, err = run_cli(capsys, "markov", "verify", "--chains", "3")
+        assert code == 2
+        assert err == "invariant violated: Markov-type inequality violated by 5.000e-01\n"
+        assert read_json(out) == report
 
     def test_replay_interval(self, capsys):
         code, out, _ = run_cli(
@@ -545,6 +578,22 @@ class TestEmbedCommands:
         header = open(os.path.join(out_dir, "compression_observations.csv")).readline().strip()
         assert header == "alpha,distance,norm,errorBound"
 
+    def test_scan_defaults_to_the_random_sampler(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "embed", "scan", "--count", "30", "--seed", "3", "--out", str(tmp_path / "s"))
+        assert code == 0
+        payload = read_json(out)
+        report = embedding.compression_scan(0.45, embedding.random_elements(30, 3), 1e-6)
+        assert (payload["count"], payload["fittedExponent"]) == (30, report.fitted_exponent)
+
+    def test_scan_with_lamp_sampler(self, capsys, tmp_path):
+        out_dir = str(tmp_path / "scan")
+        code, out, _ = run_cli(capsys, "embed", "scan", "--sampler", "lamp:2:30", "--out", out_dir)
+        assert code == 0
+        assert read_json(out)["count"] == 30
+        rows = open(os.path.join(out_dir, "compression_observations.csv")).read().splitlines()[1:]
+        # one lamp of value w at position 2: travel 2 there and back, plus w
+        assert [int(row.split(",")[1]) for row in rows] == list(range(5, 35))
+
     def test_scan_rejects_unknown_sampler(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "embed", "scan", "--sampler", "mystery", "--out", str(tmp_path / "s")
@@ -663,14 +712,28 @@ class TestPipeline:
             assert margin >= 0
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only; a fresh interpreter shows what the CLI pulls in
+def fresh_python(*args):
+    """A fresh interpreter, with this checkout's wreathlab first on its path."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI pulls in
     probe = "import sys, wreathlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    result = fresh_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_module_runs_as_the_cli():
+    result = fresh_python("-m", "wreathlab.cli", "bound", "--beta", "0.75")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("alpha upper bound for displacement exponent 0.75: 0.6666666666666666 (= 2/3)\n")
+    result = fresh_python("-m", "wreathlab.cli", "bound")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: bound requires --beta or --iterated-k\n"
 
 
 def _flag_table(parser, path=()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from wreathlab import embedding as emb, metric
+from wreathlab import embedding as emb, metric, walk
 from wreathlab.errors import EstimationError, ValidationError
 from wreathlab.group import IDENTITY, GroupElement, LampConfig, element_from_text, inverse, multiply
 
@@ -148,6 +148,38 @@ class TestTailSeries:
             expected = emb.shifted_power_tail.__wrapped__(*args)
             assert emb.shifted_power_tail(*args) == expected
             assert emb.shifted_power_tail(*args) == expected  # now from the cache
+
+    def test_orders_past_the_float_range_take_the_bracket(self, monkeypatch):
+        # at m0 = 8,000,001 the orders from 45 on have s ln m0 >= 700; a tolerance
+        # of 1.25e-19 certifies only at order 49, 1e-12 at order 38
+        delta, m0, alpha, tol = 2_000_000, 8_000_001, 0.45, 1.25e-19
+        orders = []
+        zeta = emb.hurwitz_zeta
+
+        def recorded(s, q):
+            orders.append(round(s + 2 * alpha))
+            return zeta(s, q)
+
+        monkeypatch.setattr(emb, "hurwitz_zeta", recorded)
+        estimate, bound = emb.shifted_power_tail.__wrapped__(delta, m0, alpha, tol)
+        assert orders == list(range(2, 45))
+        assert (44 - 2 * alpha) * math.log(m0) < 700.0 <= (45 - 2 * alpha) * math.log(m0)
+        # the rigorous remainder after order 44 alone is above tol: the series went on
+        u = delta / m0
+        assert 2 * alpha**2 * m0 ** (2 * alpha) * (1 + m0 / (44 - 2 * alpha)) * u**45 / (1 - u) > tol
+        assert bound <= tol
+        assert estimate == emb.shifted_power_tail.__wrapped__(delta, m0, alpha, 1e-12)[0]
+
+    def test_bracket_holds_against_hurwitz_zeta(self):
+        # the integral comparison behind the bracket: q^s zeta(s, q) lies in
+        # [q/(s-1), 1 + q/(s-1)]
+        for alpha in (0.05, 0.25, 0.45, 0.49):
+            for p in (2, 10, 40, 100):
+                s = p - 2 * alpha
+                for q in (17, 1000, 4 * 2**17 + 1):
+                    if s * math.log(q) < 700.0:
+                        scaled = q**s * emb.hurwitz_zeta(s, q)
+                        assert q / (s - 1) <= scaled <= 1 + q / (s - 1), (alpha, p, q)
 
     @pytest.mark.parametrize("args", [(-1, 10, ALPHA, 1e-9), (5, 10, ALPHA, 1e-9), (1, 0, ALPHA, 1e-9)])
     def test_refused_input_raises_on_every_call(self, args):
@@ -426,7 +458,7 @@ class TestScan:
     def test_fit_requires_spread(self):
         observations = [(3, 2.0, 0.0)] * 10
         with pytest.raises(EstimationError):
-            emb.fit_exponent(observations)
+            walk.fit_power_law([d for d, _, _ in observations], [v for _, v, _ in observations])
 
     def test_scan_smoke(self):
         report = emb.compression_scan(ALPHA, emb.random_elements(50, 3), 1e-6)

@@ -165,6 +165,21 @@ class TestEncoding:
             decode(b"0; 1:x")
         assert isinstance(err.value.offset, int)
 
+    @pytest.mark.parametrize("data, offset", [
+        (b"1_0;", 0),  # int() would read 10
+        (b"0; 1_0:2", 2),
+        (b"0; 1:1_0", 5),
+        ("0; ٣:1".encode(), 3),  # an Arabic-Indic 3, refused at its first byte
+        ("٣;".encode(), 0),
+    ])
+    def test_integers_are_ascii_digits(self, data, offset):
+        with pytest.raises(EncodingError) as err:
+            decode(data)
+        assert err.value.offset == offset
+
+    def test_integers_take_an_optional_sign(self):
+        assert decode(b" +3 ; -1:+2") == GroupElement(LampConfig(((-1, 2),)), 3)
+
     def test_text_helper(self):
         assert element_from_text("0;") == IDENTITY
         with pytest.raises(EncodingError):

@@ -249,6 +249,20 @@ class TestEstimateBeta:
         with pytest.raises(EstimationError):
             walk.estimate_beta(sample)
 
+    @pytest.mark.parametrize("x, y", [
+        ([1, 2, 4], [1, 2, 4]),  # fewer than 4 points
+        ([1, 2, 4, 8], [1, 0, 4, 8]),  # a nonpositive value
+        ([0, 2, 4, 8], [1, 2, 4, 8]),
+        ([10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3], [1, 2, 3, 4]),  # one abscissa within allclose
+    ])
+    def test_power_law_fit_refusals(self, x, y):
+        with pytest.raises(EstimationError):
+            walk.fit_power_law(x, y)
+
+    def test_power_law_fit_is_the_walk_fit(self, zwrz_sample):
+        means = zwrz_sample.mean_displacement()
+        assert walk.fit_power_law(zwrz_sample.times, means) == walk.estimate_beta(zwrz_sample)
+
     def test_mean_over_sqrt_t_stabilizes(self, z_sample):
         means = z_sample.mean_displacement()
         ratios = [m / math.sqrt(t) for t, m in zip(z_sample.times, means)]
