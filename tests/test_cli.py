@@ -532,6 +532,12 @@ STDOUT_SHA256 = [
      "ee999f4a1f1328ab94a4403b580208a45070603a90ea0a4ff634f7b156b443b5"),
     (("markov", "replay", "--host", "z2", "--F", "0:3:0:3", "--t", "3", "--p", "1.5"),
      "31a17518c39cd60e5ed265d50ace5ebd7b8535ddb507943deb565cf78882bc63"),
+    (("markov", "replay", "--host", "zwrz-trunc", "--F", "2:1:1", "--t", "3"),
+     "8f09453d161a8d9f279cf8dabb8c6f586273cae9eee8c9c9806ff4be2f1615cf"),
+    (("markov", "delayed", "--host", "z2", "--subset", "0:30:0:30"),
+     "d0fcd20803fd67040500ba16481602f5e6b0b6bdbaa939a16a6cd2f8665440a6"),
+    (("markov", "delayed", "--host", "z", "--subset=-1000:1000"),
+     "39a32f04a32c56ebc612d559671a64eafc44771c3710098be7843c19fc53849c"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Finite reversible chains, the delayed subset walk, and the replay bounds."""
 
+import hashlib
 import math
 import os
 import re
@@ -147,6 +148,20 @@ class TestTypeInequality:
         assert markov.markov_type_sides(chain, points, 2.0, 1) == (
             [8.68228107690547], 8.68228107690547
         )
+
+    def test_campaign_sides_are_frozen(self):
+        # the campaign's report peaks at 0.0 at t = 1, so pin every side's bits:
+        # the 40 chains and points markov_type_campaign(40, 8, 32, seed=11) draws
+        rng = np.random.default_rng(11)
+        digest = hashlib.sha256()
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            chain = markov.random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
+            dim = int(rng.integers(1, 5))
+            points = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+            lhs, rhs = markov.markov_type_sides(chain, points, 2.0, 32)
+            digest.update(np.array([*lhs, rhs]).tobytes())
+        assert digest.hexdigest() == "beed427bfc495243c64a925e8013567ecbcc8a347b6975a8571c24680a6f882f"
 
 
 def dense_sides(chain, points, p, t):
