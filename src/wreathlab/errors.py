@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: ValidationError (and subclasses) -> 1,
 InvariantViolation -> 2, ResourceLimitError -> 3.
 """
 
+import codecs
 import os
 
 
@@ -48,17 +49,52 @@ def _read_text(path: str) -> str | None:
         return None
 
 
+# where /proc/self/mountinfo cannot be read: the usual mount points, each
+# showing its hierarchy from the root
+_CGROUP_MOUNTS = {"": ("/sys/fs/cgroup", "/"), "memory": ("/sys/fs/cgroup/memory", "/")}
+
+
+def _cgroup_mounts() -> dict[str, tuple[str, str]]:
+    """Mount point and mount root of the cgroup v2 hierarchy (key "") and of
+    v1's memory controller (key "memory"), the first mount of each that
+    /proc/self/mountinfo lists."""
+    table = _read_text("/proc/self/mountinfo")
+    if table is None:
+        return _CGROUP_MOUNTS
+    mounts: dict[str, tuple[str, str]] = {}
+    for line in table.splitlines():
+        # id parent major:minor root point options [optional...] - type source super
+        fields = line.split(" ")
+        if "-" not in fields[6:]:
+            continue
+        dash = fields.index("-", 6)
+        fs_type, options = fields[dash + 1], fields[dash + 3] if len(fields) > dash + 3 else ""
+        if fs_type == "cgroup2":
+            kind = ""
+        elif fs_type == "cgroup" and "memory" in options.split(","):
+            kind = "memory"
+        else:
+            continue
+        # mountinfo writes a space, tab, newline or backslash in a path as \ooo
+        root, point = (codecs.decode(f, "unicode_escape") for f in fields[3:5])
+        mounts.setdefault(kind, (point, root))
+    return mounts
+
+
 def cgroup_memory_limit() -> int | None:
     """The tightest memory limit, in bytes, on this process's own cgroup and
     its ancestors, or None where none is set or none can be read.
 
     Each line of /proc/self/cgroup names a hierarchy and the process's path in
     it: under cgroup v2 (no controllers) the limit is memory.max, under v1's
-    memory controller memory.limit_in_bytes; "max" means no limit.
+    memory controller memory.limit_in_bytes; "max" means no limit. A path is
+    read where /proc/self/mountinfo mounts its hierarchy, relative to the
+    mount's root; an ancestor above that root is not visible there.
     """
     table = _read_text("/proc/self/cgroup")
     if table is None:
         return None
+    mounts = _cgroup_mounts()
     limits = []
     for line in table.splitlines():
         parts = line.split(":", 2)
@@ -66,14 +102,18 @@ def cgroup_memory_limit() -> int | None:
             continue
         _, controllers, path = parts
         if controllers == "":
-            root, name = "/sys/fs/cgroup", "memory.max"
+            kind, name = "", "memory.max"
         elif "memory" in controllers.split(","):
-            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+            kind, name = "memory", "memory.limit_in_bytes"
         else:
             continue
+        if kind not in mounts:
+            continue
+        point, root = mounts[kind]
+        root = root.rstrip("/")  # "" for the hierarchy's own root
         path = "/" + path.strip("/")
-        while True:
-            text = _read_text(os.path.join(root + path, name))
+        while path == root or path.startswith(root + "/"):
+            text = _read_text(os.path.join(point + path[len(root):], name))
             if text is not None and text.strip().isdigit():
                 limits.append(int(text))
             if path == "/":

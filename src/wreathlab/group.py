@@ -13,6 +13,7 @@ lamp, so equality is structural.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from .errors import EncodingError, ValidationError
@@ -139,8 +140,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(token: str, what: str, offset: int) -> int:
-    """An optional sign and ASCII digits, around which whitespace is ignored."""
-    token = token.strip()
+    """An optional sign and ASCII digits, around which ASCII whitespace is ignored."""
+    token = token.strip(string.whitespace)
     if not _INTEGER.fullmatch(token):
         raise EncodingError(f"{what} is not an integer", offset)
     return int(token)
@@ -149,7 +150,8 @@ def _integer(token: str, what: str, offset: int) -> int:
 def decode(data: bytes) -> GroupElement:
     """Inverse of encode. Raises EncodingError with a byte offset on bad input.
 
-    Accepted grammar (ASCII; whitespace around tokens is ignored):
+    Accepted grammar (ASCII; the whitespace of string.whitespace around
+    tokens is ignored):
         cursor ";" [entry ("," entry)*]      entry = position ":" value
     where each integer is an optional sign and decimal digits. Positions must
     be strictly increasing and values nonzero, so every accepted input is
@@ -169,7 +171,7 @@ def decode(data: bytes) -> GroupElement:
     cursor = _integer(text[:semi], "cursor", 0)
 
     rest = text[semi + 1 :]
-    if not rest.strip():
+    if not rest.strip(string.whitespace):
         return GroupElement(EMPTY_LAMPS, cursor)
 
     entries: list[tuple[int, int]] = []

@@ -6,6 +6,13 @@ metrics; the wreath host delegates to the exact word metric, so none of the
 chain constructions ever needs a graph search for distances. Besides the
 scalar distance(u, v), each host takes distances(vertices, i, j): the int64
 distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass.
+Besides neighbors(v), each host takes neighbor_index(vertices): the
+(n, degree) int64 index in vertices of each vertex's neighbors, in neighbors'
+order, -1 for a neighbor outside, in one array pass. The line and the grid key
+a vertex by an integer; the wreath host keys it by the bytes of its row of a
+lamp table widened to cover every cursor. Each looks its neighbors' keys up
+with argsort and searchsorted, and refuses duplicate vertices. Vertex
+coordinates are int64 in both array forms.
 union_of_balls runs metric.breadth_first over any host's neighbors.
 """
 
@@ -46,6 +53,10 @@ class ZLine:
         x = np.asarray(vertices, dtype=np.int64)
         return np.abs(x[i] - x[j])
 
+    def neighbor_index(self, vertices: Sequence[int]) -> np.ndarray:
+        x = np.asarray(vertices, dtype=np.int64)
+        return _index_of(x, x[:, None] + np.array([-1, 1]))
+
     def sort_key(self, v: int):
         return v
 
@@ -66,6 +77,18 @@ class ZGrid:
         xy = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
         return np.abs(xy[i] - xy[j]).sum(axis=1)
 
+    def neighbor_index(self, vertices: Sequence[tuple[int, int]]) -> np.ndarray:
+        xy = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
+        # each coordinate by its rank among the values it and its neighbors
+        # take, so a key stays below (3n)^2 however far apart the vertices lie
+        ranks = []
+        for c in xy.T:
+            taken = np.unique(np.concatenate([c - 1, c, c + 1]))
+            ranks.append(np.searchsorted(taken, c))
+        stride = len(taken)
+        keys = ranks[0] * stride + ranks[1]
+        return _index_of(keys, keys[:, None] + np.array([-stride, stride, -1, 1]))
+
     def sort_key(self, v: tuple[int, int]):
         return v
 
@@ -85,8 +108,34 @@ class WreathCayley:
         lamps, cursors = metric.lamp_table(vertices)
         return metric.distances(lamps, cursors, i, j)
 
+    def neighbor_index(self, vertices: Sequence[GroupElement]) -> np.ndarray:
+        lamps, cursors = metric.lamp_table(vertices)
+        # widen the window to every cursor, so each lamp step lands in a column;
+        # a row is the lamp values and the cursor, keyed by its bytes
+        pad = (max(0, -int(cursors.min())), max(0, int(cursors.max()) + 1 - lamps.shape[1]))
+        cursors = cursors + pad[0]
+        rows = np.column_stack([np.pad(lamps, ((0, 0), pad)), cursors])
+        steps = np.repeat(rows[:, None, :], 4, axis=1)  # metric.neighbors' order:
+        at = np.arange(len(rows))
+        steps[at, 0, cursors] += 1  # lamp+
+        steps[at, 1, cursors] -= 1  # lamp-
+        steps[:, 2, -1] += 1  # move+
+        steps[:, 3, -1] -= 1  # move-
+        key = np.dtype((np.void, 8 * rows.shape[1]))
+        return _index_of(rows.view(key)[:, 0], steps.view(key)[..., 0])
+
     def sort_key(self, v: GroupElement):
         return encode(v)
+
+
+def _index_of(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The index in keys of each target, -1 where it is none of them."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise ValidationError("subset has duplicate vertices")
+    place = np.minimum(np.searchsorted(ranked, targets), len(ranked) - 1)
+    return np.where(ranked[place] == targets, order[place], -1)
 
 
 _HOSTS = {"z": ZLine(), "z2": ZGrid(), "zwrz": WreathCayley()}

@@ -37,7 +37,6 @@ bound on the compression exponent, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
-import mmap
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,19 +64,40 @@ __all__ = [
 CHAIN_TOL = 1e-12
 # tolerance of the campaign's and the replay's inequality checks
 CHECK_TOL = 1e-9
+# entries of one stack of consecutive powers in markov_type_sides: every side
+# of a campaign chain comes from one stack, and a larger chain's memory stays
+# within a few n x n arrays
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
 class FiniteChain:
-    """States, stationary distribution pi, and row-stochastic transitions a."""
+    """States, stationary distribution pi, and row-stochastic transitions a,
+    held as the nonzeros of a in row-major order: a[rows[k], cols[k]] = values[k]."""
 
     states: tuple
     pi: np.ndarray
-    a: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_dense(cls, states: Sequence, pi: np.ndarray, a: np.ndarray) -> FiniteChain:
+        states = tuple(states)
+        if a.shape != (len(states),) * 2:
+            raise ValidationError("shape mismatch between states, pi, and a")
+        rows, cols = np.nonzero(a)
+        return cls(states, pi, rows, cols, a[rows, cols])
 
     @property
     def n(self) -> int:
         return len(self.states)
+
+    def dense(self, dtype=np.float64) -> np.ndarray:
+        """a as an n x n matrix of dtype."""
+        a = np.zeros((self.n, self.n), dtype=dtype)
+        a[self.rows, self.cols] = self.values
+        return a
 
     def validate(self) -> dict[str, float]:
         residuals = chain_residuals(self)
@@ -87,23 +107,47 @@ class FiniteChain:
         return residuals
 
 
+def _worst_residual(groups: np.ndarray, terms: np.ndarray, targets: np.ndarray) -> float:
+    """max over g of |sum of the terms in group g - targets[g]|, each exact and rounded once."""
+    order = np.argsort(groups, kind="stable")
+    ends = np.searchsorted(groups[order], np.arange(len(targets)), side="right").tolist()
+    flat = terms[order].tolist()
+    worst, start = 0.0, 0
+    for end, target in zip(ends, targets.tolist()):
+        worst = max(worst, abs(math.fsum([*flat[start:end], -target])))
+        start = end
+    return worst
+
+
 def chain_residuals(chain: FiniteChain) -> dict[str, float]:
-    """Worst-case violations of the chain axioms, for validation and reports."""
-    pi, a = chain.pi, chain.a
+    """Worst-case violations of the chain axioms, for validation and reports.
+
+    Row sums and the stationarity sums pi a are exact, each residual rounded
+    once; every array is as long as pi or as the nonzeros of a.
+    """
+    pi, i, j, a = chain.pi, chain.rows, chain.cols, chain.values
     n = chain.n
-    if pi.shape != (n,) or a.shape != (n, n):
+    if pi.shape != (n,) or a.ndim != 1 or not i.shape == j.shape == a.shape:
         raise ValidationError("shape mismatch between states, pi, and a")
-    if np.any(pi < 0) or np.any(a < -0.0):
+    keys = i * n + j
+    inside = not a.size or (min(i.min(), j.min()) >= 0 and max(i.max(), j.max()) < n)
+    if not inside or np.any(keys[1:] <= keys[:-1]):
+        raise ValidationError("the nonzeros of a must be distinct n x n entries in row-major order")
+    if np.any(pi < 0) or np.any(a < 0):
         raise ValidationError("negative probabilities")
     # pi_i a_ij - pi_j a_ji vanishes where both are zero, and each pair with a
-    # nonzero entry is met from that entry's side, so the nonzeros suffice
-    i, j = np.nonzero(a)
-    imbalance = pi[i] * a[i, j] - pi[j] * a[j, i]
+    # nonzero entry is met from that entry's side, so the nonzeros suffice; a
+    # key past every entry stands for the zeros
+    mirrored = j * n + i
+    place = np.searchsorted(keys, mirrored)
+    keys, padded = np.append(keys, n * n), np.append(a, 0.0)
+    transposed = np.where(keys[place] == mirrored, padded[place], 0.0)
+    flow = pi[i] * a
     return {
-        "row-stochasticity": float(np.abs(a.sum(axis=1) - 1.0).max()),
+        "row-stochasticity": _worst_residual(i, a, np.ones(n)),
         "pi-normalization": float(abs(math.fsum(pi.tolist()) - 1.0)),
-        "stationarity": float(np.abs(pi @ a - pi).max()),
-        "detailed-balance": float(np.abs(imbalance).max(initial=0.0)),
+        "stationarity": _worst_residual(j, flow, pi),
+        "detailed-balance": float(np.abs(flow - pi[j] * transposed).max(initial=0.0)),
     }
 
 
@@ -138,21 +182,28 @@ def markov_type_sides(
     Returns (lhs, rhs) with lhs[t - 1] = sum_i pi_i (a^t)_ij ||x_i - x_j||^p for
     t = 1..tmax and the one-step rhs = sum_i pi_i a_ij ||.||^p, so the caller
     may test lhs[t - 1] <= K^p t rhs for any K. a^t is built one step at a
-    time from the identity; every side is one fsum.
+    time from the identity, the sides of consecutive powers from one stack of
+    them; every side is one fsum.
     """
     if tmax < 1:
         raise ValidationError("tmax must be >= 1")
     if not 1 <= p < math.inf:  # nan fails too
         raise ValidationError("p must be finite and >= 1")
     chain.validate()
-    dp = _pairwise_power(_state_points(points, chain.n), p)
+    n = chain.n
+    dp = _pairwise_power(_state_points(points, n), p)
     pi = chain.pi[:, None]
-    lhs = []
-    at = np.eye(chain.n)
-    for _ in range(tmax):
-        at = at @ chain.a
-        lhs.append(_weighted_sum(pi * at, dp))
-    return lhs, _weighted_sum(pi * chain.a, dp)
+    a = chain.dense()
+    depth = max(1, _STACK_ENTRIES // (n * n))
+    lhs: list[float] = []
+    at = np.eye(n)
+    for start in range(0, tmax, depth):
+        powers = np.empty((min(depth, tmax - start), n, n))
+        for k in range(len(powers)):
+            at = powers[k] = at @ a
+        # each term (pi_i (a^t)_ij) dp_ij, as _weighted_sum forms it
+        lhs += map(math.fsum, (pi * powers * dp).reshape(len(powers), -1).tolist())
+    return lhs, _weighted_sum(pi * a, dp)
 
 
 def markov_type_campaign(chains: int, max_states: int, tmax: int, seed: int) -> dict:
@@ -201,7 +252,7 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n == 1:
-        return FiniteChain((0,), np.array([1.0]), np.array([[1.0]]))
+        return FiniteChain.from_dense((0,), np.array([1.0]), np.array([[1.0]]))
     rng = np.random.default_rng(seed)
     w = np.zeros((n, n))
     for i in range(1, n):
@@ -219,12 +270,12 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
     row = w.sum(axis=1)
     a = w / row[:, None]
     pi = row / row.sum()
-    return FiniteChain(tuple(range(n)), pi, a)
+    return FiniteChain.from_dense(range(n), pi, a)
 
 
 # n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
-# of the matrix power and the validation. An upper bound: a^t and the power's
-# temporaries are float32 wherever that holds them exactly
+# of the matrix power. An upper bound: every one of them is float32 wherever
+# that holds a^t exactly
 _DENSE_ARRAYS = 4
 
 
@@ -239,29 +290,26 @@ def delayed_walk(host, subset: Sequence) -> FiniteChain:
 
     From x: step to each in-subset neighbor with probability 1/degree, stay at
     x with the remaining mass. Uniform pi is stationary and the chain is
-    reversible because in-subset adjacency is symmetric.
+    reversible because in-subset adjacency is symmetric. Each row is read off
+    host.neighbor_index, at most degree + 1 nonzeros.
     """
     subset = tuple(subset)
     n = len(subset)
     check_dense_chain(n)
     if not n:
         raise ValidationError("subset must be nonempty")
-    index = {v: i for i, v in enumerate(subset)}
-    if len(index) != n:
-        raise ValidationError("subset has duplicate vertices")
+    inside = host.neighbor_index(subset)
     deg = host.degree
-    buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)  # zeros; why off huge pages: module docstring
-    buf.madvise(getattr(mmap, "MADV_NOHUGEPAGE", mmap.MADV_NORMAL))  # the flag is Linux's
-    a = np.frombuffer(buf).reshape(n, n)
-    for i, v in enumerate(subset):
-        inside = 0
-        for w in host.neighbors(v):
-            j = index.get(w)
-            if j is not None:
-                a[i, j] += 1.0 / deg
-                inside += 1
-        a[i, i] += 1.0 - inside / deg
-    return FiniteChain(subset, np.full(n, 1.0 / n), a)
+    stay = 1.0 - (inside >= 0).sum(axis=1) / deg
+    # row i: 1/degree at each in-subset neighbor, the stay at i where it is
+    # nonzero, -1 for the rest; sorted, the columns fall in row-major order
+    cols = np.column_stack([inside, np.where(stay > 0, np.arange(n), -1)])
+    values = np.column_stack([np.full(inside.shape, 1.0 / deg), stay])
+    order = np.argsort(cols, axis=1)
+    cols, values = np.take_along_axis(cols, order, axis=1), np.take_along_axis(values, order, axis=1)
+    kept = cols >= 0
+    rows = np.nonzero(kept)[0]
+    return FiniteChain(subset, np.full(n, 1.0 / n), rows, cols[kept], values[kept])
 
 
 def empirical_modulus(distances: Sequence[float], norms: Sequence[float]) -> Callable[[float], float]:
@@ -350,10 +398,16 @@ def delayed_walk_replay(
     points = _state_points([emb(v) for v in vertices], n)
 
     narrowest = np.float32 if scale <= 2**24 else np.float64
-    at = np.linalg.matrix_power(chain.a.astype(narrowest, copy=False), t)
-    # every ordered pair the chain can couple, in row-major order
-    i, j = np.nonzero((chain.a > 0) | (at > 0))
-    at_pairs = at[i, j].astype(float)  # float32 widens to float64 exactly
+    at = np.linalg.matrix_power(chain.dense(narrowest), t)
+    # every ordered pair the chain can couple, in row-major order: the nonzeros
+    # of a^t and of a (all positive), as flat n x n indices
+    keys = chain.rows * n + chain.cols
+    pairs = np.union1d(np.flatnonzero(at), keys)
+    at_pairs = at.ravel()[pairs].astype(float)  # float32 widens to float64 exactly
+    del at  # the replay's only n x n arrays are the power's
+    i, j = np.divmod(pairs, n)
+    a_pairs = np.zeros(pairs.size)
+    a_pairs[np.searchsorted(pairs, keys)] = chain.values
     host_dist = host.distances(vertices, i, j)
     diff = points[i] - points[j]
     emb_dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
@@ -421,7 +475,7 @@ def delayed_walk_replay(
     chain_lower = len(core) / n * free_term
 
     markov_lhs = _weighted_sum(pair_weight, emb_p)
-    markov_rhs = t * _weighted_sum(pi[i] * chain.a[i, j], emb_p)
+    markov_rhs = t * _weighted_sum(pi[i] * a_pairs, emb_p)
     upper = float(t)  # K^p t with K = 1
 
     if abs(restricted_avg - chain_lower) > CHECK_TOL * max(1.0, abs(chain_lower)):

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from wreathlab.embedding import shifted_power_tail
 from wreathlab.group import GroupElement
 
@@ -42,3 +44,28 @@ def embedding_image(g: GroupElement, alpha: float, eps: float = 1e-6):
         + [mass for mass, _ in tails]
     )
     return squared, sum(remainder for _, remainder in tails), coefficients
+
+
+def neighbor_index(host, vertices):
+    """Each vertex's neighbors as indices into vertices, -1 outside, by a dict
+    over host.neighbors."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [[index.get(w, -1) for w in host.neighbors(v)] for v in vertices]
+    return np.array(rows, dtype=np.int64).reshape(len(vertices), host.degree)
+
+
+def delayed_walk_matrix(host, subset):
+    """The delayed walk's dense transition matrix, entry by entry: 1/degree to
+    each in-subset neighbor, the remaining mass on the diagonal."""
+    index = {v: i for i, v in enumerate(subset)}
+    deg = host.degree
+    a = np.zeros((len(subset), len(subset)))
+    for i, v in enumerate(subset):
+        inside = 0
+        for w in host.neighbors(v):
+            j = index.get(w)
+            if j is not None:
+                a[i, j] += 1.0 / deg
+                inside += 1
+        a[i, i] += 1.0 - inside / deg
+    return a

@@ -43,6 +43,28 @@ class TestCgroupLimit:
         fake_files["/sys/fs/cgroup/b/memory.max"] = f"{2 * GIB}\n"
         assert errors.cgroup_memory_limit() == 2 * GIB
 
+    def test_mountinfo_places_cgroup2_elsewhere(self, fake_files):
+        fake_files["/proc/self/mountinfo"] = (
+            "24 1 0:22 / /proc rw - proc proc rw\n"
+            "40 32 0:38 / /mnt/cg\\0402 rw,relatime shared:9 - cgroup2 cgroup2 rw\n"
+        )
+        fake_files["/proc/self/cgroup"] = "0::/job\n"
+        fake_files["/mnt/cg 2/job/memory.max"] = f"{GIB}\n"
+        fake_files["/sys/fs/cgroup/job/memory.max"] = f"{GIB // 4}\n"  # not where it is mounted
+        assert errors.cgroup_memory_limit() == GIB
+
+    def test_mountinfo_root_hides_the_ancestors_above_it(self, fake_files):
+        # a v1 memory hierarchy mounted from /docker/c: the process's path is
+        # read below the mount point, and /docker itself is not visible there
+        fake_files["/proc/self/mountinfo"] = (
+            "36 32 0:32 /docker/c /sys/fs/cgroup/memory ro,nosuid - cgroup cgroup rw,memory\n"
+        )
+        fake_files["/proc/self/cgroup"] = "4:memory:/docker/c/job\n0::/\n"
+        fake_files["/sys/fs/cgroup/memory/job/memory.limit_in_bytes"] = NO_LIMIT
+        fake_files["/sys/fs/cgroup/memory/memory.limit_in_bytes"] = f"{2 * GIB}\n"
+        fake_files["/sys/fs/cgroup/memory.max"] = f"{GIB}\n"  # no cgroup2 mount is listed
+        assert errors.cgroup_memory_limit() == 2 * GIB
+
     @pytest.mark.parametrize("table", [None, "", "0::/\n", "4:cpu:/a\n", "garbage\n"])
     def test_no_readable_limit_is_none(self, fake_files, table):
         if table is not None:

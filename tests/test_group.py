@@ -171,6 +171,10 @@ class TestEncoding:
         (b"0; 1:1_0", 5),
         ("0; ٣:1".encode(), 3),  # an Arabic-Indic 3, refused at its first byte
         ("٣;".encode(), 0),
+        # the separators 0x1C-0x1F are no whitespace, around a token or after ';'
+        (b"\x1c3\x1f;\x1d", 0),
+        (b"0; \x1e2:1", 2),
+        (b"3;\x1d", 2),
     ])
     def test_integers_are_ascii_digits(self, data, offset):
         with pytest.raises(EncodingError) as err:
@@ -179,6 +183,10 @@ class TestEncoding:
 
     def test_integers_take_an_optional_sign(self):
         assert decode(b" +3 ; -1:+2") == GroupElement(LampConfig(((-1, 2),)), 3)
+
+    def test_ascii_whitespace_around_tokens_is_ignored(self):
+        assert decode(b"\t3\n;\x0b-1:\r2\x0c ") == GroupElement(LampConfig(((-1, 2),)), 3)
+        assert decode(b"3; \t\n") == GroupElement(cursor=3)
 
     def test_text_helper(self):
         assert element_from_text("0;") == IDENTITY

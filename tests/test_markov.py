@@ -3,7 +3,8 @@
 import hashlib
 import math
 import os
-import re
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 
 from wreathlab import hosts, markov, metric
 from wreathlab.errors import ResourceLimitError, ValidationError
-from wreathlab.group import IDENTITY, encode
+from wreathlab.group import IDENTITY, GroupElement, LampConfig, encode
+
+import oracles
 
 
 def two_state_flip():
-    return markov.FiniteChain(
+    return markov.FiniteChain.from_dense(
         (0, 1), np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]])
     )
 
@@ -30,7 +33,7 @@ class TestChainValidation:
         assert all(v == 0.0 for v in residuals.values())
 
     def test_rejects_non_stochastic_rows(self):
-        chain = markov.FiniteChain(
+        chain = markov.FiniteChain.from_dense(
             (0, 1), np.array([0.5, 0.5]), np.array([[0.2, 0.2], [0.5, 0.5]])
         )
         with pytest.raises(ValidationError):
@@ -40,45 +43,59 @@ class TestChainValidation:
         a = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
         pi = np.full(3, 1 / 3)
         with pytest.raises(ValidationError):
-            markov.FiniteChain((0, 1, 2), pi, a).validate()
+            markov.FiniteChain.from_dense((0, 1, 2), pi, a).validate()
 
     def test_random_chains_are_valid(self):
         for seed in range(30):
             chain = markov.random_reversible_chain(1 + seed % 9, seed)
             chain.validate()
 
+    def test_rows_must_be_an_n_by_n_matrix_in_row_major_order(self):
+        pi = np.full(2, 0.5)
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            markov.FiniteChain.from_dense((0, 1), pi, np.eye(3))
+        for rows, cols in (([1, 0], [0, 1]), ([0, 0], [1, 1]), ([0, 1], [1, 2]), ([0, -1], [1, 0])):
+            chain = markov.FiniteChain((0, 1), pi, np.array(rows), np.array(cols), np.ones(2))
+            with pytest.raises(ValidationError, match="row-major"):
+                chain.validate()
 
-def dense_residuals(chain):
-    """The chain axioms' residuals with detailed balance as a dense n x n formula."""
-    pi, a = chain.pi, chain.a
-    balance = pi[:, None] * a
+
+def exact_residuals(chain):
+    """The chain axioms' residuals in exact rational arithmetic over the float
+    entries: each product pi_i a_ij rounded once, every sum exact, every
+    residual rounded once. pi's residual is its correctly rounded sum minus 1."""
+    a, pi, n = chain.dense(), chain.pi, chain.n
+    flow = [[Fraction(float(pi[i] * a[i, j])) for j in range(n)] for i in range(n)]
+    rows = [abs(sum(map(Fraction, a[i].tolist())) - 1) for i in range(n)]
+    columns = [abs(sum(flow[i][j] for i in range(n)) - Fraction(pi[j])) for j in range(n)]
+    balance = [abs(flow[i][j] - flow[j][i]) for i in range(n) for j in range(n)]
     return {
-        "row-stochasticity": float(np.abs(a.sum(axis=1) - 1.0).max()),
-        "pi-normalization": float(abs(math.fsum(pi.tolist()) - 1.0)),
-        "stationarity": float(np.abs(pi @ a - pi).max()),
-        "detailed-balance": float(np.abs(balance - balance.T).max()),
+        "row-stochasticity": float(max(rows)),
+        "pi-normalization": abs(float(sum(map(Fraction, pi.tolist()))) - 1.0),
+        "stationarity": float(max(columns)),
+        "detailed-balance": float(max(balance)),
     }
 
 
 class TestResidualsOracle:
-    """chain_residuals on the nonzeros of a against the dense formulas."""
+    """chain_residuals on the nonzeros of a against exact rational arithmetic."""
 
     def test_random_reversible_chains(self):
         for seed in range(40):
             chain = markov.random_reversible_chain(1 + seed % 11, seed)
-            assert markov.chain_residuals(chain) == dense_residuals(chain)
+            assert markov.chain_residuals(chain) == exact_residuals(chain)
 
     def test_wreath_delayed_walk(self):
         host = hosts.host_by_name("zwrz")
         fattened = hosts.union_of_balls(host, hosts.wreath_truncation(1, 1, 1), 1)
         chain = markov.delayed_walk(host, fattened)
-        assert markov.chain_residuals(chain) == dense_residuals(chain)
+        assert markov.chain_residuals(chain) == exact_residuals(chain)
 
     def test_broken_detailed_balance_keeps_its_residual(self):
         a = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        chain = markov.FiniteChain((0, 1, 2), np.full(3, 1 / 3), a)
+        chain = markov.FiniteChain.from_dense((0, 1, 2), np.full(3, 1 / 3), a)
         residuals = markov.chain_residuals(chain)
-        assert residuals == dense_residuals(chain)
+        assert residuals == exact_residuals(chain)
         assert residuals["detailed-balance"] > markov.CHAIN_TOL
         with pytest.raises(ValidationError, match="detailed-balance"):
             chain.validate()
@@ -92,8 +109,8 @@ class TestResidualsOracle:
             a[np.arange(n), np.arange(n)] += 0.1
             a /= a.sum(axis=1, keepdims=True)
             pi = rng.random(n)
-            chain = markov.FiniteChain(tuple(range(n)), pi / pi.sum(), a)
-            assert markov.chain_residuals(chain) == dense_residuals(chain)
+            chain = markov.FiniteChain.from_dense(range(n), pi / pi.sum(), a)
+            assert markov.chain_residuals(chain) == exact_residuals(chain)
 
 
 class TestTypeInequality:
@@ -168,10 +185,11 @@ def dense_sides(chain, points, p, t):
     """Both sides at time t as dense formulas over np.linalg.matrix_power."""
     dp = ((points[:, None] - points[None]) ** 2).sum(axis=-1) ** (p / 2.0)
     pi = chain.pi[:, None]
-    at = np.linalg.matrix_power(chain.a, t)
+    a = chain.dense()
+    at = np.linalg.matrix_power(a, t)
     return (
         math.fsum((pi * at * dp).ravel().tolist()),
-        math.fsum((pi * chain.a * dp).ravel().tolist()),
+        math.fsum((pi * a * dp).ravel().tolist()),
     )
 
 
@@ -185,6 +203,8 @@ class TestSidesOracle:
             ("z2", hosts.box(-2, 2, -1, 2), lambda v: v),
             ("zwrz", hosts.wreath_truncation(1, 1, 1),
              lambda g: (g.cursor,) + tuple(g.lamps.value_at(p) for p in range(-2, 3))),
+            # 101^2 entries a power: the eight sides come from two stacks
+            ("z", hosts.interval(-50, 50), lambda v: (v,)),
         ],
     )
     def test_equal_on_delayed_walks(self, host_name, subset, coordinates):
@@ -224,19 +244,25 @@ class TestDelayedWalk:
         host = hosts.host_by_name("z")
         chain = markov.delayed_walk(host, hosts.interval(0, 2))
         expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-        assert np.array_equal(chain.a, expected)
+        assert np.array_equal(chain.dense(), expected)
         assert np.array_equal(chain.pi, np.full(3, 1 / 3))
+        # the nonzeros, in row-major order
+        assert chain.rows.tolist() == [0, 0, 1, 1, 2, 2]
+        assert chain.cols.tolist() == [0, 1, 0, 2, 1, 2]
+        assert chain.values.tolist() == [0.5] * 6
 
     def test_interior_states_have_no_delay(self):
         host = hosts.host_by_name("z")
         chain = markov.delayed_walk(host, hosts.interval(-5, 5))
         interior = chain.states.index(0)
-        assert chain.a[interior, interior] == 0.0
+        assert chain.dense()[interior, interior] == 0.0
+        # a zero stay is no nonzero
+        assert interior not in chain.cols[chain.rows == interior]
 
     def test_singleton_subset_is_absorbing(self):
         host = hosts.host_by_name("z")
         chain = markov.delayed_walk(host, (0,))
-        assert chain.a == pytest.approx(np.array([[1.0]]))
+        assert chain.dense() == pytest.approx(np.array([[1.0]]))
 
     def test_disconnected_subset_still_reversible(self):
         host = hosts.host_by_name("z")
@@ -248,7 +274,7 @@ class TestDelayedWalk:
         chain = markov.delayed_walk(host, hosts.box(0, 1, 0, 1))
         chain.validate()
         # corner of the 2x2 box keeps two of four moves inside
-        assert chain.a[0, 0] == 0.5
+        assert chain.dense()[0, 0] == 0.5
 
     def test_rejects_duplicates(self):
         host = hosts.host_by_name("z")
@@ -259,32 +285,84 @@ class TestDelayedWalk:
         with pytest.raises(ValidationError, match="nonempty"):
             markov.delayed_walk(hosts.host_by_name("z"), ())
 
-    def test_matrix_stays_off_huge_pages(self):
-        # 2,001 states, 32 MB: numpy would ask huge pages for an array this large
-        chain = markov.delayed_walk(hosts.host_by_name("z"), hosts.interval(-1000, 1000))
-        # numpy's advice covers the 2 MiB-aligned middle of an array, not its ends
-        eligible = _thp_eligible(chain.a.ctypes.data + chain.a.nbytes // 2)
-        if eligible is None:
-            pytest.skip("no THPeligible field in /proc/self/smaps")
-        assert eligible == 0
-        assert np.array_equal(np.diag(chain.a)[[0, 1, -1]], [0.5, 0.0, 0.5])
+    def test_chain_is_linear_in_its_states(self):
+        # 2,001 states, whose dense matrix would take 32 MB: neither building
+        # the chain nor validating it allocates an n x n array
+        host = hosts.host_by_name("z")
+        subset = hosts.interval(-1000, 1000)
+        n, linear = len(subset), len(subset) * (host.degree + 1)
+        tracemalloc.start()
+        try:
+            chain = markov.delayed_walk(host, subset)
+            chain.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(x.nbytes for x in (chain.pi, chain.rows, chain.cols, chain.values))
+        assert held <= 8 * (n + 3 * linear)
+        # a few arrays and lists of the nonzeros; the dense matrix is 20 times more
+        assert peak <= 256 * linear <= 8 * n * n // 20
+        stay = chain.values[chain.rows == chain.cols]
+        assert stay.tolist() == [0.5, 0.5]  # only the two ends keep mass
+        assert np.array_equal(np.diag(chain.dense())[[0, 1, -1]], [0.5, 0.0, 0.5])
 
 
-def _thp_eligible(address: int):
-    """THPeligible of the mapping that holds address, or None where the kernel does not say."""
-    try:
-        with open("/proc/self/smaps", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return None
-    inside = False
-    for line in lines:
-        span = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
-        if span:
-            inside = int(span.group(1), 16) <= address < int(span.group(2), 16)
-        elif inside and line.startswith("THPeligible:"):
-            return int(line.split()[1])
-    return None
+def _shuffled(vertices, seed=0):
+    vertices = list(vertices)
+    random.Random(seed).shuffle(vertices)
+    return vertices
+
+
+def _lamp(cursor, *entries):
+    return GroupElement(LampConfig(tuple(entries)), cursor)
+
+
+# vertex sets for the one-step lookup: unsorted, disconnected, single, wreath
+# cursors outside every lamp support, and the replay's fattened sets
+NEIGHBOR_SETS = [
+    ("z", _shuffled(hosts.interval(-6, 6))),
+    ("z", [0, 10, 5, 6, -3, 11]),
+    ("z", [7]),
+    ("z", hosts.union_of_balls(hosts.ZLine(), hosts.interval(0, 5), 3)),
+    ("z2", _shuffled(hosts.box(-2, 2, -1, 2))),
+    ("z2", [(0, 0), (10**12, -10**12), (10**12 + 1, -10**12), (1, 0), (0, 5)]),
+    ("z2", [(3, 4)]),
+    ("z2", hosts.union_of_balls(hosts.ZGrid(), hosts.box(0, 6, 0, 6), 2)),
+    ("zwrz", _shuffled(hosts.wreath_truncation(1, 1, 1))),
+    ("zwrz", [_lamp(5, (0, 1)), _lamp(-7), _lamp(-6), _lamp(4, (0, 1)), _lamp(5, (0, 2)), _lamp(0, (9, -1))]),
+    ("zwrz", [_lamp(3)]),
+    ("zwrz", hosts.union_of_balls(hosts.WreathCayley(), hosts.wreath_truncation(1, 1, 1), 2)),
+    ("zwrz", _shuffled(hosts.union_of_balls(hosts.WreathCayley(), hosts.wreath_truncation(2, 1, 1), 1))),
+]
+
+
+class TestNeighborIndex:
+    """host.neighbor_index and the row-form delayed walk against the dict loops."""
+
+    @pytest.mark.parametrize("host_name, vertices", NEIGHBOR_SETS)
+    def test_equal_to_the_dict_lookup(self, host_name, vertices):
+        host = hosts.host_by_name(host_name)
+        got = host.neighbor_index(vertices)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracles.neighbor_index(host, vertices))
+
+    @pytest.mark.parametrize("host_name, vertices", NEIGHBOR_SETS)
+    def test_delayed_walk_is_the_dense_loop(self, host_name, vertices):
+        host = hosts.host_by_name(host_name)
+        chain = markov.delayed_walk(host, vertices)
+        want = oracles.delayed_walk_matrix(host, vertices)
+        assert np.array_equal(chain.dense(), want)
+        assert chain.rows.tolist() == np.nonzero(want)[0].tolist()
+        assert chain.cols.tolist() == np.nonzero(want)[1].tolist()
+
+    @pytest.mark.parametrize(
+        "host_name, vertices",
+        [("z", [0, 3, 0]), ("z2", [(0, 0), (1, 0), (0, 0)]), ("zwrz", [IDENTITY, _lamp(1), IDENTITY])],
+    )
+    def test_duplicates_are_refused(self, host_name, vertices):
+        host = hosts.host_by_name(host_name)
+        with pytest.raises(ValidationError, match="duplicate"):
+            host.neighbor_index(vertices)
 
 
 class TestHostDistances:
@@ -488,10 +566,10 @@ def dense_replay(host, core, t, emb, rho, p=2.0):
     """The replay's sums as dense n x n formulas over the full matrix power."""
     core, fattened = set(core), hosts.union_of_balls(host, core, t)
     chain = markov.delayed_walk(host, fattened)
-    n, vertices, pi = chain.n, chain.states, chain.pi
+    n, vertices, pi, a = chain.n, chain.states, chain.pi, chain.dense()
     points = np.array([emb(v) for v in vertices], dtype=float).reshape(n, -1)
-    at = np.linalg.matrix_power(chain.a, t)
-    coupled = (chain.a > 0) | (at > 0)
+    at = np.linalg.matrix_power(a, t)
+    coupled = (a > 0) | (at > 0)
     host_dist = np.zeros((n, n), dtype=int)
     emb_dist = np.zeros((n, n))
     for i, j in zip(*np.nonzero(coupled)):
@@ -518,7 +596,7 @@ def dense_replay(host, core, t, emb, rho, p=2.0):
         "restricted_avg": math.fsum((at[core_rows] * rho_p[core_rows]).ravel().tolist()) / n,
         "full_avg": weighted(at, rho_p),
         "markov_lhs": weighted(at, emb_p) if t else 0.0,
-        "markov_rhs": t * weighted(chain.a, emb_p) if t else 0.0,
+        "markov_rhs": t * weighted(a, emb_p) if t else 0.0,
         "upper": float(t),
     }
 
@@ -592,7 +670,7 @@ class TestReplayOracle:
         (at,) = taken
         chain = markov.delayed_walk(host, hosts.union_of_balls(host, core, t))
         assert at.dtype == narrowest
-        assert np.array_equal(at, power(chain.a, t))
+        assert np.array_equal(at, power(chain.dense(), t))
 
     def test_rejections_name_the_first_offending_pair(self):
         host = hosts.host_by_name("z")
