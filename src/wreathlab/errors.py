@@ -65,10 +65,10 @@ def _cgroup_mounts() -> dict[str, tuple[str, str]]:
     for line in table.splitlines():
         # id parent major:minor root point options [optional...] - type source super
         fields = line.split(" ")
-        if "-" not in fields[6:]:
+        dash = fields.index("-", 6) if "-" in fields[6:] else len(fields)
+        if len(fields) < dash + 4:
             continue
-        dash = fields.index("-", 6)
-        fs_type, options = fields[dash + 1], fields[dash + 3] if len(fields) > dash + 3 else ""
+        fs_type, options = fields[dash + 1], fields[dash + 3]
         if fs_type == "cgroup2":
             kind = ""
         elif fs_type == "cgroup" and "memory" in options.split(","):

@@ -10,9 +10,10 @@ Besides neighbors(v), each host takes neighbor_index(vertices): the
 (n, degree) int64 index in vertices of each vertex's neighbors, in neighbors'
 order, -1 for a neighbor outside, in one array pass. The line and the grid key
 a vertex by an integer; the wreath host keys it by the bytes of its row of a
-lamp table widened to cover every cursor. Each looks its neighbors' keys up
-with argsort and searchsorted, and refuses duplicate vertices. Vertex
-coordinates are int64 in both array forms.
+lamp table whose columns are the positions that hold a lamp or a cursor. Each
+looks its neighbors' keys up with argsort and searchsorted, and refuses
+duplicate vertices. Coordinates, cursors and lamp values are int64 in both
+array forms; a neighbor past either end of int64 is in no vertex set.
 union_of_balls runs metric.breadth_first over any host's neighbors.
 """
 
@@ -54,8 +55,8 @@ class ZLine:
         return np.abs(x[i] - x[j])
 
     def neighbor_index(self, vertices: Sequence[int]) -> np.ndarray:
-        x = np.asarray(vertices, dtype=np.int64)
-        return _index_of(x, x[:, None] + np.array([-1, 1]))
+        x = np.asarray(vertices, dtype=np.int64)[:, None]
+        return np.where(_leaves_int64(x), -1, _index_of(x[:, 0], x + np.array([-1, 1])))
 
     def sort_key(self, v: int):
         return v
@@ -87,7 +88,8 @@ class ZGrid:
             ranks.append(np.searchsorted(taken, c))
         stride = len(taken)
         keys = ranks[0] * stride + ranks[1]
-        return _index_of(keys, keys[:, None] + np.array([-stride, stride, -1, 1]))
+        steps = np.array([-stride, stride, -1, 1])
+        return np.where(_leaves_int64(xy), -1, _index_of(keys, keys[:, None] + steps))
 
     def sort_key(self, v: tuple[int, int]):
         return v
@@ -109,23 +111,37 @@ class WreathCayley:
         return metric.distances(lamps, cursors, i, j)
 
     def neighbor_index(self, vertices: Sequence[GroupElement]) -> np.ndarray:
-        lamps, cursors = metric.lamp_table(vertices)
-        # widen the window to every cursor, so each lamp step lands in a column;
-        # a row is the lamp values and the cursor, keyed by its bytes
-        pad = (max(0, -int(cursors.min())), max(0, int(cursors.max()) + 1 - lamps.shape[1]))
-        cursors = cursors + pad[0]
-        rows = np.column_stack([np.pad(lamps, ((0, 0), pad)), cursors])
-        steps = np.repeat(rows[:, None, :], 4, axis=1)  # metric.neighbors' order:
-        at = np.arange(len(rows))
-        steps[at, 0, cursors] += 1  # lamp+
-        steps[at, 1, cursors] -= 1  # lamp-
+        # a row is the lamp values at every position that holds a lamp or a
+        # cursor, then the cursor, keyed by its bytes; unlike lamp_table's
+        # window, no column stands for a position between them
+        cursors = np.array([g.cursor for g in vertices], dtype=np.int64)
+        lit = [(r, p, v) for r, g in enumerate(vertices) for p, v in g.lamps.entries]
+        r, p, v = np.array(lit, dtype=np.int64).reshape(-1, 3).T
+        positions = np.unique(np.concatenate([p, cursors]))
+        rows = np.zeros((len(cursors), len(positions) + 1), dtype=np.int64)
+        rows[r, np.searchsorted(positions, p)] = v
+        rows[:, -1] = cursors
+        # one copy of each row per generator, in metric.neighbors' order
+        steps = np.repeat(rows[:, None, :], 4, axis=1)
+        at, under = np.arange(len(rows)), np.searchsorted(positions, cursors)
+        steps[at, 0, under] += 1  # lamp+
+        steps[at, 1, under] -= 1  # lamp-
         steps[:, 2, -1] += 1  # move+
         steps[:, 3, -1] -= 1  # move-
+        wraps = _leaves_int64(np.column_stack([rows[at, under], cursors]))[:, [1, 0, 3, 2]]
         key = np.dtype((np.void, 8 * rows.shape[1]))
-        return _index_of(rows.view(key)[:, 0], steps.view(key)[..., 0])
+        return np.where(wraps, -1, _index_of(rows.view(key)[:, 0], steps.view(key)[..., 0]))
 
     def sort_key(self, v: GroupElement):
         return encode(v)
+
+
+def _leaves_int64(coordinates: np.ndarray) -> np.ndarray:
+    """Where a step of -1 or +1 in each int64 coordinate, in neighbors' order,
+    wraps around: no vertex lies there, whatever the wrapped key matches."""
+    ends = np.iinfo(np.int64)
+    edge = np.stack([coordinates == ends.min, coordinates == ends.max], axis=-1)
+    return edge.reshape(len(coordinates), -1)
 
 
 def _index_of(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Finite stationary reversible chains and the inequalities they certify.
 
-Three jobs live here:
+A FiniteChain holds its transition matrix a as its nonzeros in row-major
+order; dense(dtype) scatters them into a matrix for the callers that need one.
+chain_residuals reads only the nonzeros: row sums and the stationarity sums of
+pi a are exact, each residual rounded once. Three jobs live here:
 
 * exact two-sided evaluation of the Markov-type inequality
   E[||f(Z_t) - f(Z_0)||^p] <= K^p t E[||f(Z_1) - f(Z_0)||^p]
@@ -8,9 +11,10 @@ Three jobs live here:
   and takes every side as one fsum (_weighted_sum), once per campaign chain;
 * construction of the delayed walk on a subset A of a host Cayley graph
   (step to an in-subset neighbor with probability 1/degree, stay put with the
-  leftover mass), which the replay runs on the core's ball union of radius t
-  (hosts.union_of_balls), where it is indistinguishable from the free walk for
-  t steps when started in the core set;
+  leftover mass), whose rows come from host.neighbor_index in one array pass,
+  at most degree + 1 nonzeros each; the replay runs it on the core's ball
+  union of radius t (hosts.union_of_balls), where it is indistinguishable
+  from the free walk for t steps when started in the core set;
 * a replay of the resulting sandwich on concrete finite instances: the
   compression lower term never exceeds the Markov-type upper term. The
   replay takes a^t as a dense matrix power, the identity at t = 0, in the
@@ -19,16 +23,16 @@ Three jobs live here:
   product and partial sum of a^t is a multiple of degree^-t in [0, 1], which
   a float with an m-bit significand holds in any summation order when
   degree^t <= 2^m: a^t is float32 up to degree^t = 2^24, float64 up to 2^53,
-  and refused past that. The replay then sums over every ordered pair the
-  chain can couple, in row-major order: these are the nonzero terms of the
-  dense n x n sums, so each fsum is theirs bit for bit, and no symmetry of a
-  or a^t is assumed. One guard, check_dense_chain, refuses n states whose
-  dense n x n arrays would not fit in physical memory; delayed_walk calls it,
-  the replay calls it on the core before it fattens it, and the hosts' set
-  builders call it before they build a set at all. delayed_walk keeps a off
-  huge pages: its few nonzeros touch a fraction of its 4 KiB pages, while a
-  huge page (numpy asks for them, the kernel grants one only when it has one
-  free) makes the 2 MiB around each touched entry resident.
+  and refused past that. The power's input, its output and its temporaries
+  are the replay's only n x n arrays; a^t is freed once its pairs are read.
+  The replay then sums over every ordered pair the chain can couple, in
+  row-major order (the nonzeros of a^t united with those of a): these are
+  the nonzero terms of the dense n x n sums, so each fsum is theirs bit for
+  bit, and no symmetry of a or a^t is assumed. One guard, check_dense_chain,
+  refuses n states whose dense n x n arrays would not fit in physical
+  memory; delayed_walk calls it, the replay calls it on the core before it
+  fattens it, and the hosts' set builders call it before they build a set at
+  all.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -83,7 +87,7 @@ class FiniteChain:
 
     @classmethod
     def from_dense(cls, states: Sequence, pi: np.ndarray, a: np.ndarray) -> FiniteChain:
-        states = tuple(states)
+        states, a = tuple(states), np.asarray(a, dtype=float)
         if a.shape != (len(states),) * 2:
             raise ValidationError("shape mismatch between states, pi, and a")
         rows, cols = np.nonzero(a)

@@ -46,6 +46,7 @@ class TestCgroupLimit:
     def test_mountinfo_places_cgroup2_elsewhere(self, fake_files):
         fake_files["/proc/self/mountinfo"] = (
             "24 1 0:22 / /proc rw - proc proc rw\n"
+            "a line that is not a mount - cgroup2\n"
             "40 32 0:38 / /mnt/cg\\0402 rw,relatime shared:9 - cgroup2 cgroup2 rw\n"
         )
         fake_files["/proc/self/cgroup"] = "0::/job\n"

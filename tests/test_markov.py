@@ -100,6 +100,14 @@ class TestResidualsOracle:
         with pytest.raises(ValidationError, match="detailed-balance"):
             chain.validate()
 
+    def test_state_no_row_enters(self):
+        # column 1 holds no nonzero, so its stationarity sum is empty
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        chain = markov.FiniteChain.from_dense((0, 1), np.array([0.25, 0.75]), a)
+        residuals = markov.chain_residuals(chain)
+        assert residuals == exact_residuals(chain)
+        assert residuals["stationarity"] == 0.75
+
     def test_one_sided_entries(self):
         # random zero patterns leave pairs with a_ij > 0 but a_ji = 0 on both
         # sides of the diagonal, each with its own imbalance
@@ -323,16 +331,23 @@ NEIGHBOR_SETS = [
     ("z", _shuffled(hosts.interval(-6, 6))),
     ("z", [0, 10, 5, 6, -3, 11]),
     ("z", [7]),
+    # both ends of int64: a step past either wraps to the other, which is no neighbor
+    ("z", [2**63 - 1, -(2**63), 2**63 - 2]),
     ("z", hosts.union_of_balls(hosts.ZLine(), hosts.interval(0, 5), 3)),
     ("z2", _shuffled(hosts.box(-2, 2, -1, 2))),
     ("z2", [(0, 0), (10**12, -10**12), (10**12 + 1, -10**12), (1, 0), (0, 5)]),
     ("z2", [(3, 4)]),
+    ("z2", [(2**63 - 1, 0), (-(2**63), 0), (0, -(2**63)), (0, 2**63 - 1), (-1, 2**63 - 1)]),
     ("z2", hosts.union_of_balls(hosts.ZGrid(), hosts.box(0, 6, 0, 6), 2)),
     ("zwrz", _shuffled(hosts.wreath_truncation(1, 1, 1))),
     ("zwrz", [_lamp(5, (0, 1)), _lamp(-7), _lamp(-6), _lamp(4, (0, 1)), _lamp(5, (0, 2)), _lamp(0, (9, -1))]),
     ("zwrz", [_lamp(3)]),
+    # cursors far apart, and lamp values and cursors at both ends of int64
+    ("zwrz", [IDENTITY, _lamp(10**12), _lamp(10**12 + 1), _lamp(0, (10**12, 1)), _lamp(1, (10**12, 1))]),
+    ("zwrz", [_lamp(2**63 - 1), _lamp(-(2**63)), _lamp(0, (0, 2**63 - 1)), _lamp(0, (0, -(2**63))),
+              _lamp(0, (0, 2**63 - 2)), _lamp(-(2**63) + 1)]),
     ("zwrz", hosts.union_of_balls(hosts.WreathCayley(), hosts.wreath_truncation(1, 1, 1), 2)),
-    ("zwrz", _shuffled(hosts.union_of_balls(hosts.WreathCayley(), hosts.wreath_truncation(2, 1, 1), 1))),
+    ("zwrz", _shuffled(hosts.union_of_balls(hosts.WreathCayley(), hosts.wreath_truncation(2, 1, 1), 3))),
 ]
 
 
