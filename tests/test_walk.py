@@ -94,6 +94,14 @@ class TestSimulate:
             == "552539801e029f881af391468b936358947135f569f522361fdf3c90b7b0fbcc"
         )
 
+    def test_line_golden_sample(self, z_sample):
+        # sha256 of the seed-7 line sample (2000 trials, 2^4..2^14) as the
+        # Generator.integers kernel produced it; any change to its draws shows here
+        assert (
+            hashlib.sha256(z_sample.displacements.tobytes()).hexdigest()
+            == "de2a6da319b03796550ae8a3146ec2b4276f3fddc724ec15f3da6e1d1edd7de3"
+        )
+
     def test_golden_sample_takes_the_pool_path(self):
         # on two or more CPUs the fixture splits into blocks, so the golden
         # hashes above check the pool's concatenation
