@@ -31,8 +31,9 @@ pi a are exact, each residual rounded once. Three jobs live here:
   bit, and no symmetry of a or a^t is assumed. One guard, check_dense_chain,
   refuses n states whose dense n x n arrays would not fit in physical
   memory; delayed_walk calls it, the replay calls it on the core before it
-  fattens it, and the hosts' set builders call it before they build a set at
-  all.
+  fattens it, the hosts' set builders call it before they build a set at
+  all, and the random-chain campaign calls it on max_states before its first
+  chain.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -221,6 +222,7 @@ def markov_type_campaign(chains: int, max_states: int, tmax: int, seed: int) -> 
         raise ValidationError("chains must be >= 1")
     if max_states < 1:
         raise ValidationError("max_states must be >= 1")
+    check_dense_chain(max_states)  # every chain has at most max_states states
     rng = np.random.default_rng(seed)
     max_violation = -math.inf
     worst = None
@@ -257,6 +259,7 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
         raise ValidationError("n must be >= 1")
     if n == 1:
         return FiniteChain.from_dense((0,), np.array([1.0]), np.array([[1.0]]))
+    check_dense_chain(n)
     rng = np.random.default_rng(seed)
     w = np.zeros((n, n))
     for i in range(1, n):

@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from . import metric
 from .errors import EstimationError, ValidationError, check_physical_memory
@@ -54,9 +54,12 @@ __all__ = [
 GROUPS = ("z", "zwrz")
 # the default time grid 2^4 .. 2^14
 DYADIC_TIMES = tuple(2**k for k in range(4, 15))
-# 8-byte arrays of one entry per step that a trial holds at its peak: the step
-# codes, the path, and on the wreath product the bincount's keys and weights
-_STEP_ARRAYS = 4
+# 8-byte arrays of one entry per step that a block holds at its peak: its
+# buffers (on the line the step codes and the path; on the wreath product the
+# step codes, then the bincount's keys in their place, the cursor path, the
+# weights and each step's row) and a trial's raw Philox words, half an array:
+# 4.5, rounded up
+_STEP_ARRAYS = 5
 # copies of the sample's rows held at once: a block's rows in its worker, their
 # unpickled copy here, and the concatenation
 _ROW_COPIES = 3
@@ -123,17 +126,36 @@ class TailEstimate:
     standard_errors: dict[int, float]
 
 
-def _trial_rng(seed: int, trial: int) -> Generator:
-    key = np.array([seed, trial], dtype=np.uint64)
-    return Generator(Philox(key=key))
+def _draw_codes(seed: int, trial: int, bits: int, codes: np.ndarray) -> None:
+    """Fill codes (of even length) with the trial's step codes: the top bits of
+    each 32-bit half of the Philox stream keyed by (seed, trial), low half first.
+
+    Generator(Philox(key=[seed, trial])).integers(0, 2**bits, size=T) draws the
+    same codes: it takes one 32-bit half per draw, and Lemire's method keeps its
+    top bits and never rejects when the range is a power of two.
+    """
+    raw = Philox(key=np.array([seed, trial], dtype=np.uint64)).random_raw(len(codes) // 2)
+    np.right_shift(raw.astype("<u8", copy=False).view("<u4"), 32 - bits, out=codes, casting="unsafe")
 
 
-def _line_trial(seed: int, trial: int, times: Sequence[int]) -> np.ndarray:
-    rng = _trial_rng(seed, trial)
-    steps = rng.integers(0, 2, size=times[-1], dtype=np.int64) * 2 - 1
-    path = np.zeros(len(steps) + 1, dtype=np.int64)  # path[t] is the position after t steps
-    np.cumsum(steps, out=path[1:])
-    return np.abs(path[np.asarray(times)])
+def _line_walk(seed: int, times: tuple[int, ...]) -> Callable[[int], np.ndarray]:
+    """The line walk's trial: trial -> |position| at each time, into buffers
+    allocated once.
+
+    Code 1 steps right and code 0 left, so the position after t steps is
+    2 path[t] - t, where path[t] counts the right steps among the first t.
+    """
+    steps = times[-1]
+    codes = np.empty(steps + steps % 2, dtype=np.int64)
+    path = np.zeros(steps + 1, dtype=np.int64)
+    at = np.asarray(times)
+
+    def trial(i: int) -> np.ndarray:
+        _draw_codes(seed, i, 1, codes)
+        np.cumsum(codes[:steps], out=path[1:])
+        return np.abs(2 * path[at] - at)
+
+    return trial
 
 
 # per step code: the cursor move, and the lamp increment at the cursor
@@ -141,8 +163,9 @@ _CURSOR_STEP = np.array([0, 0, 1, -1], dtype=np.int64)
 _LAMP_STEP = np.array([1.0, -1.0, 0.0, 0.0])
 
 
-def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements and their lamp masses at the given times.
+def _wreath_walk(seed: int, times: tuple[int, ...]) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """The wreath walk's trial: trial -> displacements and their lamp masses at
+    each time, into buffers allocated once.
 
     cursor[s] is the cursor after s steps, and lamp step s + 1 (code 0 adds
     one, code 1 takes one away) acts at cursor[s]. Row 0 of the lamp table is
@@ -150,26 +173,38 @@ def _wreath_trial(seed: int, trial: int, times: Sequence[int]) -> tuple[np.ndarr
     layout (columns are cursor positions minus the cursor minimum). One
     bincount keyed by (row, column) adds each step's lamp increment into the
     first row whose time is past it, and a cumulative sum down the rows gives
-    the table.
+    the table. Every code is below 4, so the lookups take in clip mode, which
+    is exact here and writes straight into their buffers.
     """
-    codes = _trial_rng(seed, trial).integers(0, 4, size=times[-1])
-    cursor = np.zeros(len(codes) + 1, dtype=np.int64)
-    _CURSOR_STEP.take(codes, out=cursor[1:])
-    np.cumsum(cursor[1:], out=cursor[1:])
-    lo = int(cursor.min())
-    width = int(cursor.max()) - lo + 1
-    rows = len(times) + 1
-    # the steps from times[c - 1] (0 for c = 0) up to times[c] land in row c + 1;
-    # key = row * width + cursor - lo, built in place to spare step-long temporaries
-    key = np.repeat(np.arange(width - lo, rows * width - lo, width), np.diff(times, prepend=0))
-    key += cursor[:-1]
-    # each bin sums at most times[-1] increments of +-1, and the memory check
-    # keeps times[-1] far below 2^53: the float64 sums are exact integers
-    increments = np.bincount(key, weights=_LAMP_STEP.take(codes), minlength=rows * width)
-    lamps = np.cumsum(increments.astype(np.int64).reshape(rows, width), axis=0)
-    cursors = np.concatenate(([0], cursor[np.asarray(times)])) - lo
+    steps, rows = times[-1], len(times) + 1
+    codes = np.empty(steps + steps % 2, dtype=np.int64)
+    cursor = np.zeros(steps + 1, dtype=np.int64)
+    weights = np.empty(steps)
+    # the steps from times[c - 1] (0 for c = 0) up to times[c] land in row c + 1
+    row_of_step = np.repeat(np.arange(1, rows), np.diff(times, prepend=0))
+    at = np.asarray(times)
     sampled = np.arange(1, rows)
-    return metric.distances(lamps, cursors, np.zeros_like(sampled), sampled), np.abs(lamps[1:]).sum(axis=1)
+    origin = np.zeros_like(sampled)
+
+    def trial(i: int) -> tuple[np.ndarray, np.ndarray]:
+        _draw_codes(seed, i, 2, codes)
+        _CURSOR_STEP.take(codes[:steps], out=cursor[1:], mode="clip")
+        _LAMP_STEP.take(codes[:steps], out=weights, mode="clip")
+        np.cumsum(cursor[1:], out=cursor[1:])
+        lo = int(cursor.min())
+        width = int(cursor.max()) - lo + 1
+        # key = row * width + cursor - lo, in the buffer of the codes, spent by now
+        key = codes[:steps]
+        (np.arange(rows) * width - lo).take(row_of_step, out=key, mode="clip")
+        np.add(key, cursor[:-1], out=key)
+        # each bin sums at most times[-1] increments of +-1, and the memory check
+        # keeps times[-1] far below 2^53: the float64 sums are exact integers
+        increments = np.bincount(key, weights=weights, minlength=rows * width)
+        lamps = np.cumsum(increments.astype(np.int64).reshape(rows, width), axis=0)
+        cursors = np.concatenate(([0], cursor[at])) - lo
+        return metric.distances(lamps, cursors, origin, sampled), np.abs(lamps[1:]).sum(axis=1)
+
+    return trial
 
 
 def _usable_cpus() -> int:
@@ -194,12 +229,14 @@ def _block(
     """Rows lo..hi-1 of the sample: displacements, and lamp masses (None on the line)."""
     rows = np.empty((hi - lo, len(times)), dtype=np.int64)
     if group == "z":
+        line = _line_walk(seed, times)
         for i in range(lo, hi):
-            rows[i - lo] = _line_trial(seed, i, times)
+            rows[i - lo] = line(i)
         return rows, None
+    wreath = _wreath_walk(seed, times)
     mass = np.empty_like(rows)
     for i in range(lo, hi):
-        rows[i - lo], mass[i - lo] = _wreath_trial(seed, i, times)
+        rows[i - lo], mass[i - lo] = wreath(i)
     return rows, mass
 
 

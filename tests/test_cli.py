@@ -339,6 +339,17 @@ class TestMarkovCommands:
         assert err == "invariant violated: Markov-type inequality violated by 5.000e-01\n"
         assert read_json(out) == report
 
+    def test_campaign_over_physical_memory_exits_3_before_any_chain(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oversized campaign built a chain")
+
+        monkeypatch.setattr(markov, "random_reversible_chain", unreachable)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "markov", "verify", "--chains", "1", "--max-states", "10000000")
+        assert (code, out) == (3, "")
+        assert "physical memory" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_replay_interval(self, capsys):
         code, out, _ = run_cli(
             capsys, "markov", "replay", "--host", "z", "--F=-20:20", "--t", "4"

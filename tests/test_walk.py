@@ -3,6 +3,7 @@
 import hashlib
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from wreathlab.group import IDENTITY, canonical_generators, multiply
 from wreathlab.metric import witness_for
 
 from conftest import FULL_TIMES, FULL_TRIALS
+
+
+def _trial_rng(seed, trial):
+    """The trial's stream as a numpy Generator: the independent source of its codes."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 class TestSimulate:
@@ -68,7 +74,7 @@ class TestSimulate:
         generators = canonical_generators()
         sampled_cursors = []
         for trial in range(sample.trials):
-            codes = walk._trial_rng(seed, trial).integers(0, 4, size=times[-1]).tolist()
+            codes = _trial_rng(seed, trial).integers(0, 4, size=times[-1]).tolist()
             g = IDENTITY
             for step, code in enumerate(codes, start=1):
                 g = multiply(g, generators[code])
@@ -164,6 +170,17 @@ def _fork_spy(monkeypatch):
 FORK = ["fork"] if "fork" in multiprocessing.get_all_start_methods() else []
 
 
+class TestDraws:
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 7, 2**14])
+    def test_raw_word_codes_are_generator_integers(self, bits, steps):
+        codes = np.empty(steps + steps % 2, dtype=np.int64)
+        for seed, trial in [(0, 0), (7, 1), (7, 1999), (123456789, 42), (2**64 - 1, 2**63)]:
+            walk._draw_codes(seed, trial, bits, codes)
+            expected = _trial_rng(seed, trial).integers(0, 2**bits, size=steps)
+            assert np.array_equal(codes[:steps], expected)
+
+
 class TestBlocks:
     @pytest.mark.parametrize("group", walk.GROUPS)
     def test_pool_equals_trial_by_trial(self, monkeypatch, group):
@@ -175,9 +192,11 @@ class TestBlocks:
         sample = walk.simulate(group, times, 7, seed)
         assert methods == FORK
         if group == "z":
-            expected = np.stack([walk._line_trial(seed, i, times) for i in range(7)])
+            line = walk._line_walk(seed, times)
+            expected = np.stack([line(i) for i in range(7)])
         else:
-            split = [walk._wreath_trial(seed, i, times) for i in range(7)]
+            wreath = walk._wreath_walk(seed, times)
+            split = [wreath(i) for i in range(7)]
             expected = np.stack([out for out, _ in split])
             assert np.array_equal(sample.lamp_mass, np.stack([mass for _, mass in split]))
             assert sample.lamp_mass.dtype == np.int64
@@ -204,6 +223,22 @@ class TestBlocks:
         assert methods == []
         # a block is never empty, even when steps alone would earn more blocks
         assert walk._block_bounds(2, walk._WORK_FLOOR * 4) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("group", walk.GROUPS)
+    def test_one_block_holds_its_step_arrays(self, group):
+        # one block in this process: its buffers and a trial's raw words stay
+        # within the memory check's step arrays, plus the rows
+        times, trials = (16, 1024, 2**16), 4
+        assert walk._block_bounds(trials, times[-1]) == [(0, trials)]
+        arrays = 1 if group == "z" else 2
+        rows = walk._ROW_COPIES * arrays * 8 * trials * len(times)
+        tracemalloc.start()
+        try:
+            walk.simulate(group, times, trials, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= walk._STEP_ARRAYS * 8 * times[-1] + rows
 
     def test_many_short_trials_earn_blocks(self, monkeypatch):
         # 200,000 steps are far under the floor, but 50,000 trials' fixed costs are not
