@@ -259,7 +259,6 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
         raise ValidationError("n must be >= 1")
     if n == 1:
         return FiniteChain.from_dense((0,), np.array([1.0]), np.array([[1.0]]))
-    check_dense_chain(n)
     rng = np.random.default_rng(seed)
     w = np.zeros((n, n))
     for i in range(1, n):

@@ -136,7 +136,7 @@ class TailEstimate:
     standard_errors: dict[int, float]
 
 
-# a fresh Philox's counter and buffer
+# a fresh Philox's counter and its buffer of 4 words, all spent (buffer_pos 4)
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
@@ -154,7 +154,7 @@ def _draw_codes(bitgen: Philox, seed: int, trial: int, bits: int, codes: np.ndar
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_WORDS, "key": np.array([seed, trial], dtype=np.uint64)},
         "buffer": _ZERO_WORDS,
-        "buffer_pos": len(_ZERO_WORDS),
+        "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
