@@ -74,12 +74,12 @@ _STEP_ARRAYS = 5
 # unpickled copy here, and the concatenation
 _ROW_COPIES = 3
 # fewest steps that earn a block of their own: on a 2-vCPU Xeon VM a fork pool
-# takes 5-15 ms to start, and 2^22 steps take about 40 ms on the line and
-# 120 ms on the wreath product
+# takes 5-15 ms to start, and 2^22 steps take about 25 ms on the line and
+# 40 ms on the wreath product
 _WORK_FLOOR = 2**22
-# the fixed cost of a trial (its Philox generator and some twenty numpy calls),
-# in steps: on the same VM 30-45 us on the line (2^11 steps of 17-21 ns) and
-# 115-150 us on the wreath product (2^12 steps of 30-32 ns)
+# the fixed cost of a trial (resetting its Philox and some twenty numpy calls),
+# in steps: on the same VM about 13 us on the line (2^11 steps of 6 ns) and
+# 38 us on the wreath product (2^12 steps of 9.5 ns)
 _TRIAL_STEPS = 2**12
 
 
