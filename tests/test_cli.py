@@ -521,6 +521,12 @@ STDOUT_SHA256 = [
      "39438e1c4ff75f8417f0ec69df401636ffd0ab8022a5fafc7d517bee69d1b176"),
     (("embed", "pair", "--a", "3; -2:1, 5:-4", "--b", "-1; 0:2"),
      "338d00c3e8ed3275eb8e8d8383e9937a9c80581c688e35f9c2ab1cbf7e0f59b9"),
+    # a window past the lamps and a long tail series
+    (("embed", "pair", "--a", "4096; 4090:2, 4100:-3", "--b", "0;"),
+     "5a035720d5ac69ab4a7c7099f2848755ba93a9d80877a958cba4c18c67c02e28"),
+    # a negative cursor with lamps on both sides
+    (("embed", "pair", "--a", "-37; -40:1, -2:-2, 5:3", "--b", "0;"),
+     "dad7d8e50c79ce84a4ba315055735fef5a077969aa3439af04230c72e0582be7"),
     (("bound", "--beta", "0.75"),
      "19606afd4863c37feb40f3d1a023ae2b40edf76e675e0a07dfcac183dbe0a4c6"),
     (("bound", "--iterated-k", "3"),
