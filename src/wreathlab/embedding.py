@@ -10,11 +10,13 @@ stay abstract keys and no function space is materialized.
 The embedding is left-invariant (left multiplication permutes the phi keys
 and translates cursor and lamps), so embedding_distance(a, b) is the norm of
 the one element b^-1 a, its distance to the identity; with b the identity
-that is embedding_norm(a) to the bit. Norms are certified: coefficients are
-enumerated inside an explicit window, and the infinite tail (where the
-element's restrictions vanish, as the identity's do, and the per-endpoint
-difference is (m + delta)^alpha - m^alpha with delta = |cursor|) is summed in
-closed form as a binomial series in Hurwitz zeta values,
+that is embedding_norm(a) to the bit. The norm reads g through four integers
+alone, its cursor, first and last lamp and squared lamp mass, and one routine
+of those four, _norm_parts, holds the whole certificate. Norms are certified:
+coefficients are enumerated inside an explicit window, and the infinite tail
+(where the element's restrictions vanish, as the identity's do, and the
+per-endpoint difference is (m + delta)^alpha - m^alpha with delta = |cursor|)
+is summed in closed form as a binomial series in Hurwitz zeta values,
 
     sum_{m >= m0} ((m + delta)^alpha - m^alpha)^2
         = sum_{p >= 2} c_p delta^p zeta(p - 2 alpha, m0),
@@ -232,22 +234,25 @@ def _half_line_sum(k: int, last: float, alpha: float, margin: int, tail_tol: flo
     return math.fsum(terms), tail, remainder
 
 
-def _squared_parts(g: GroupElement, alpha: float, eps: float) -> tuple[int, float, float]:
-    """(exact cursor+lamp part, phi part estimate, certified phi error) of g."""
-    k = g.cursor
+def _norm_parts(k: int, first: float, last: float, sumsq: int, alpha: float, eps: float) -> tuple[float, float]:
+    """(value, error_bound) of the element with cursor k, lamps from first to
+    last (inf and -inf when it has none) and squared lamp mass sumsq."""
+    if k == 0 and sumsq == 0:
+        return (0.0, 0.0)
     # the tail series needs |k|/m0 <= 1/4, and m0 is at least margin + 1
     margin = max(4 * abs(k), BASE_MARGIN)
-    exact = k * k + sum(v * v for _, v in g.lamps.entries)
     # clamp so the slack stays below the squared norm of a nonidentity element
     # (>= 1), keeping error_bound <= eps even for generous eps requests
     tail_tol = min(eps, 1.0) ** 2 / 8.0
-    support = g.lamps.support()
-    first, last = min(support, default=math.inf), max(support, default=-math.inf)
     right_window, right_tail, right_rem = _half_line_sum(k, last, alpha, margin, tail_tol)
     # the left half-lines are the right ones of the mirror image n -> -n
     left_window, left_tail, left_rem = _half_line_sum(-k, -first, alpha, margin, tail_tol)
-    phi = math.fsum([right_window, left_window, right_tail, left_tail])
-    return exact, phi, right_rem + left_rem
+    total = k * k + sumsq + math.fsum([right_window, left_window, right_tail, left_tail])
+    slack = right_rem + left_rem
+    # a nonidentity element moves its cursor or lamps, so total >= 1 and the
+    # square root inflates the squared-value error by at most 1/2
+    value = math.sqrt(total)
+    return (value, slack / (math.sqrt(max(total - slack, 0.0)) + value))
 
 
 def embedding_norm(g: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:
@@ -257,15 +262,9 @@ def embedding_norm(g: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[fl
     """
     alpha = _check_alpha(alpha)
     eps = _check_eps(eps)
-    if g == IDENTITY:
-        return (0.0, 0.0)
-    exact, phi, slack = _squared_parts(g, alpha, eps)
-    total = exact + phi
-    # a nonidentity element moves its cursor or lamps, so total >= 1 and the
-    # square root inflates the squared-value error by at most 1/2
-    value = math.sqrt(total)
-    error_bound = slack / (math.sqrt(max(total - slack, 0.0)) + value)
-    return (value, error_bound)
+    support = g.lamps.support()
+    first, last = min(support, default=math.inf), max(support, default=-math.inf)
+    return _norm_parts(g.cursor, first, last, sum(v * v for _, v in g.lamps.entries), alpha, eps)
 
 
 def embedding_distance(a: GroupElement, b: GroupElement, alpha: float, eps: float = 1e-6) -> tuple[float, float]:

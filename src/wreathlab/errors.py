@@ -5,6 +5,7 @@ InvariantViolation -> 2, ResourceLimitError -> 3.
 """
 
 import codecs
+import functools
 import os
 
 
@@ -122,14 +123,21 @@ def cgroup_memory_limit() -> int | None:
     return min(limits, default=None)
 
 
+@functools.cache
+def _memory_limit() -> tuple[int, str]:
+    """(bytes, source) of physical memory or of the memory limit of this
+    process's cgroup, whichever is less; read once per process."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = cgroup_memory_limit()
+    if limit is not None and limit < physical:
+        return limit, "memory limit of this process's cgroup"
+    return physical, "of physical memory"
+
+
 def check_physical_memory(needed: int, what: str) -> None:
     """Refuse, before allocating, what needs more bytes than physical memory
     or than the memory limit of this process's cgroup, whichever is less."""
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    source = "of physical memory"
-    limit = cgroup_memory_limit()
-    if limit is not None and limit < available:
-        available, source = limit, "memory limit of this process's cgroup"
+    available, source = _memory_limit()
     if needed > available:
         raise ResourceLimitError(
             f"{what} need about {needed / 2**30:.1f} GiB, "

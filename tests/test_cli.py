@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from wreathlab import cli, embedding, hosts, markov, metric
+from wreathlab import cli, embedding, errors, hosts, markov, metric
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +22,12 @@ def run_cli(capsys, *argv):
 
 def read_json(out: str):
     return json.loads(out)
+
+
+def guard_source() -> str:
+    """The bound the memory guard names where the tests run: physical memory,
+    or the cgroup limit where that is less."""
+    return errors._memory_limit()[1]
 
 
 class TestExitCodes:
@@ -212,7 +218,7 @@ class TestWalkCommand:
             "--out", str(tmp_path / "w"),
         )
         assert code == 3
-        assert "physical memory" in err
+        assert guard_source() in err
         assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("group", ["z", "zwrz"])
@@ -230,7 +236,7 @@ class TestWalkCommand:
             "--out", str(tmp_path / "w"),
         )
         assert code == 3
-        assert "physical memory" in err
+        assert guard_source() in err
         assert time.perf_counter() - start < 5.0
 
     def test_summary_contents(self, capsys, tmp_path):
@@ -347,7 +353,7 @@ class TestMarkovCommands:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "markov", "verify", "--chains", "1", "--max-states", "10000000")
         assert (code, out) == (3, "")
-        assert "physical memory" in err
+        assert guard_source() in err
         assert time.perf_counter() - start < 5.0
 
     def test_replay_interval(self, capsys):
@@ -434,7 +440,7 @@ class TestMarkovCommands:
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "markov", "delayed", "--host", "z", "--subset", f"0:{n}")
         assert code == 3
-        assert "physical memory" in err
+        assert guard_source() in err
         assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("host, spec", [("z", "0:100"), ("z2", "0:10:0:9")])
@@ -461,7 +467,7 @@ class TestMarkovCommands:
         argv = ["markov", command, "--host", "zwrz-trunc", flag, "3:3:2"] + ["--t", "1"] * (command == "replay")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
-        assert "physical memory" in err
+        assert guard_source() in err
 
     def test_replay_core_over_physical_memory_exits_3_before_fattening(self, capsys, monkeypatch):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -473,7 +479,7 @@ class TestMarkovCommands:
         monkeypatch.setattr(hosts, "union_of_balls", unreachable)
         code, out, err = run_cli(capsys, "markov", "replay", "--host", "z", "--F", f"0:{n}", "--t", "1")
         assert (code, out) == (3, "")
-        assert "physical memory" in err
+        assert guard_source() in err
 
     def test_truncation_of_wide_support_exits_3_at_once(self, capsys):
         # 3^200001 elements: a count too long to print, and too slow to compute at wider supports

@@ -382,17 +382,54 @@ class TestImage:
                 assert coefficient == pytest.approx(cg - ce, abs=1e-12)
                 assert coefficient != 0.0
 
-    def test_parts_decompose_the_norm(self):
+    def test_parts_decompose_the_norm(self, monkeypatch):
         g = element_from_text("2; 1:3")
         squared, slack, _ = embedding_image(g, ALPHA)
-        exact, phi, phi_slack = emb._squared_parts(g, ALPHA, 1e-6)
+        calls = []
+        norm_parts = emb._norm_parts
+        monkeypatch.setattr(emb, "_norm_parts", lambda *args: calls.append(args) or norm_parts(*args))
+        value, bound = emb.embedding_norm(g, ALPHA, 1e-6)
+        assert calls == [(2, 1, 1, 9, ALPHA, 1e-6)]  # cursor, first and last lamp, sum v^2
+        k, _, _, sumsq = calls[0][:4]
+        exact = k * k + sumsq
         assert exact == 4 + 9  # cursor and lamp parts
-        assert phi == pytest.approx(squared - exact, rel=1e-12, abs=slack + phi_slack)
+        # value^2 is exact + phi, and the squared value is certified to bound (2 value + bound)
+        phi = value * value - exact
+        assert phi == pytest.approx(squared - exact, rel=1e-12, abs=slack + bound * (2 * value + bound))
 
     def test_lamp_generator_image_has_no_phi_keys(self):
         squared, slack, coefficients = embedding_image(element_from_text("0; 0:1"), ALPHA)
         assert coefficients == {}
         assert (squared, slack) == (1.0, 0.0)
+
+
+def interior_twin(g, rng):
+    """An element with g's cursor, first and last lamp positions and sum v^2 but
+    other interior positions, its lamp values permuted and their signs flipped."""
+    support = g.lamps.support()
+    inner = rng.choice(np.arange(support[0] + 1, support[-1]), len(support) - 2, replace=False)
+    positions = [support[0], *sorted(int(p) for p in inner), support[-1]]
+    values = [int(v) * int(rng.choice((-1, 1))) for _, v in g.lamps.entries]
+    rng.shuffle(values)
+    return GroupElement(LampConfig(tuple(zip(positions, values))), g.cursor)
+
+
+class TestFourIntegers:
+    """The norm reads g through its cursor, first and last lamp and sum v^2 alone."""
+
+    def test_equal_integers_give_equal_norms(self):
+        rng = np.random.default_rng(15)
+        cases = 0
+        while cases < 60:
+            g = random_element(rng)
+            if len(g.lamps.entries) < 3:
+                continue
+            twin = interior_twin(g, rng)
+            if twin == g:
+                continue
+            cases += 1
+            for alpha, eps in ((0.05, 1e-9), (ALPHA, 1e-6), (0.49, 0.5)):
+                assert emb.embedding_norm(twin, alpha, eps) == emb.embedding_norm(g, alpha, eps), (g, twin)
 
 
 class TestLipschitz:
@@ -426,6 +463,7 @@ def lower_bound_terms(g):
 class TestLowerBound:
     def test_identity_is_all_zero(self):
         assert emb.embedding_norm(IDENTITY, ALPHA) == (0.0, 0.0)
+        assert emb._norm_parts(0, math.inf, -math.inf, 0, ALPHA, 1e-6) == (0.0, 0.0)
         assert lower_bound_terms(IDENTITY) == (0.0, 0.0, 0.0)
 
     def test_three_lamps_example(self):

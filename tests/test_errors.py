@@ -13,10 +13,13 @@ NO_LIMIT = "9223372036854771712\n"  # what cgroup v1 reports when no limit is se
 
 @pytest.fixture()
 def fake_files(monkeypatch):
-    """Serve the guard's system files from a dict; every other path is unreadable."""
+    """Serve the guard's system files from a dict; every other path is unreadable.
+    The guard's cached limit is cleared before and after, so each test reads its own."""
     files = {}
     monkeypatch.setattr(errors, "_read_text", files.get)
-    return files
+    errors._memory_limit.cache_clear()
+    yield files
+    errors._memory_limit.cache_clear()
 
 
 def physical() -> int:
@@ -95,3 +98,15 @@ class TestCheckPhysicalMemory:
         errors.check_physical_memory(physical(), "the arrays")
         with pytest.raises(ResourceLimitError, match="of physical memory$"):
             errors.check_physical_memory(physical() + 1, "the arrays")
+
+    def test_second_call_reads_no_file(self, fake_files, monkeypatch):
+        fake_files["/proc/self/cgroup"] = "0::/\n"
+        fake_files["/sys/fs/cgroup/memory.max"] = f"{GIB}\n"
+        reads = []
+        monkeypatch.setattr(errors, "_read_text", lambda path: reads.append(path) or fake_files.get(path))
+        errors.check_physical_memory(GIB, "the arrays")
+        assert "/sys/fs/cgroup/memory.max" in reads
+        reads.clear()
+        with pytest.raises(ResourceLimitError, match="cgroup$"):
+            errors.check_physical_memory(GIB + 1, "the arrays")
+        assert reads == []
