@@ -7,7 +7,8 @@ the seed, and a checksum per artifact; identical config and seed reproduce
 byte-identical CSV bodies.
 
 Parameter precedence: explicit flags, then a plain key=value --config file,
-then the WREATH_SEED environment variable (seed only), then defaults.
+then the WREATH_SEED environment variable (seed only), then defaults. A seed
+must lie in [0, 2^64), from whichever source.
 """
 
 from __future__ import annotations
@@ -77,23 +78,23 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
 
 
 def _resolve(ns, config: dict[str, str], name: str):
-    flag = getattr(ns, name)
-    if flag is not None:
-        return flag
+    value = getattr(ns, name)
     cast, default = OPTIONS[name]
-    if name in config:
+    if value is None and name in config:
         try:
-            return cast(config[name])
+            value = cast(config[name])
         except ValueError:
             raise ValidationError(f"config value for {name!r} is not valid") from None
-    if name == "seed":
-        env = os.environ.get("WREATH_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ValidationError("WREATH_SEED must be an integer") from None
-    return default
+    env = os.environ.get("WREATH_SEED") if name == "seed" else None
+    if value is None and env is not None:
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValidationError("WREATH_SEED must be an integer") from None
+    value = default if value is None else value
+    if name == "seed" and not 0 <= value < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {value}")
+    return value
 
 
 def _float_cell(x: float) -> str:

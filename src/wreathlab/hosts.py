@@ -8,12 +8,11 @@ scalar distance(u, v), each host takes distances(vertices, i, j): the int64
 distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass.
 Besides neighbors(v), each host takes neighbor_index(vertices): the
 (n, degree) int64 index in vertices of each vertex's neighbors, in neighbors'
-order, -1 for a neighbor outside, in one array pass. The line and the grid key
-a vertex by an integer; the wreath host keys it by the bytes of its row of a
-lamp table whose columns are the positions that hold a lamp or a cursor. Each
-looks its neighbors' keys up with argsort and searchsorted, and refuses
-duplicate vertices. Coordinates, cursors and lamp values are int64 in both
-array forms; a neighbor past either end of int64 is in no vertex set.
+order, -1 for a neighbor outside, in one array pass: each host writes its
+vertices as the rows of one int64 table and names the column and sign of each
+generator's step, and _neighbor_index keys rows by their bytes, refuses
+duplicates and finds each step with argsort and searchsorted. A coordinate
+outside int64 is refused; a step past either end of int64 is in no vertex set.
 union_of_balls runs metric.breadth_first over any host's neighbors.
 """
 
@@ -51,12 +50,11 @@ class ZLine:
         return abs(u - v)
 
     def distances(self, vertices: Sequence[int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        x = np.asarray(vertices, dtype=np.int64)
+        x = _int64(vertices)
         return np.abs(x[i] - x[j])
 
     def neighbor_index(self, vertices: Sequence[int]) -> np.ndarray:
-        x = np.asarray(vertices, dtype=np.int64)[:, None]
-        return np.where(_leaves_int64(x), -1, _index_of(x[:, 0], x + np.array([-1, 1])))
+        return _neighbor_index(_int64(vertices).reshape(-1, 1), [(0, -1), (0, 1)])
 
     def sort_key(self, v: int):
         return v
@@ -75,21 +73,11 @@ class ZGrid:
         return abs(u[0] - v[0]) + abs(u[1] - v[1])
 
     def distances(self, vertices: Sequence[tuple[int, int]], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        xy = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
+        xy = _int64(vertices).reshape(-1, 2)
         return np.abs(xy[i] - xy[j]).sum(axis=1)
 
     def neighbor_index(self, vertices: Sequence[tuple[int, int]]) -> np.ndarray:
-        xy = np.asarray(vertices, dtype=np.int64).reshape(-1, 2)
-        # each coordinate by its rank among the values it and its neighbors
-        # take, so a key stays below (3n)^2 however far apart the vertices lie
-        ranks = []
-        for c in xy.T:
-            taken = np.unique(np.concatenate([c - 1, c, c + 1]))
-            ranks.append(np.searchsorted(taken, c))
-        stride = len(taken)
-        keys = ranks[0] * stride + ranks[1]
-        steps = np.array([-stride, stride, -1, 1])
-        return np.where(_leaves_int64(xy), -1, _index_of(keys, keys[:, None] + steps))
+        return _neighbor_index(_int64(vertices).reshape(-1, 2), [(0, -1), (0, 1), (1, -1), (1, 1)])
 
     def sort_key(self, v: tuple[int, int]):
         return v
@@ -112,46 +100,52 @@ class WreathCayley:
 
     def neighbor_index(self, vertices: Sequence[GroupElement]) -> np.ndarray:
         # a row is the lamp values at every position that holds a lamp or a
-        # cursor, then the cursor, keyed by its bytes; unlike lamp_table's
-        # window, no column stands for a position between them
-        cursors = np.array([g.cursor for g in vertices], dtype=np.int64)
+        # cursor, then the cursor; unlike lamp_table's window, no column
+        # stands for a position between them
+        cursors = _int64([g.cursor for g in vertices])
         lit = [(r, p, v) for r, g in enumerate(vertices) for p, v in g.lamps.entries]
-        r, p, v = np.array(lit, dtype=np.int64).reshape(-1, 3).T
+        r, p, v = _int64(lit).reshape(-1, 3).T
         positions = np.unique(np.concatenate([p, cursors]))
         rows = np.zeros((len(cursors), len(positions) + 1), dtype=np.int64)
         rows[r, np.searchsorted(positions, p)] = v
         rows[:, -1] = cursors
-        # one copy of each row per generator, in metric.neighbors' order
-        steps = np.repeat(rows[:, None, :], 4, axis=1)
-        at, under = np.arange(len(rows)), np.searchsorted(positions, cursors)
-        steps[at, 0, under] += 1  # lamp+
-        steps[at, 1, under] -= 1  # lamp-
-        steps[:, 2, -1] += 1  # move+
-        steps[:, 3, -1] -= 1  # move-
-        wraps = _leaves_int64(np.column_stack([rows[at, under], cursors]))[:, [1, 0, 3, 2]]
-        key = np.dtype((np.void, 8 * rows.shape[1]))
-        return np.where(wraps, -1, _index_of(rows.view(key)[:, 0], steps.view(key)[..., 0]))
+        under = np.searchsorted(positions, cursors)  # the lamp under the cursor
+        # lamp+, lamp-, move+, move-: metric.neighbors' order
+        return _neighbor_index(rows, [(under, 1), (under, -1), (-1, 1), (-1, -1)])
 
     def sort_key(self, v: GroupElement):
         return encode(v)
 
 
-def _leaves_int64(coordinates: np.ndarray) -> np.ndarray:
-    """Where a step of -1 or +1 in each int64 coordinate, in neighbors' order,
-    wraps around: no vertex lies there, whatever the wrapped key matches."""
-    ends = np.iinfo(np.int64)
-    edge = np.stack([coordinates == ends.min, coordinates == ends.max], axis=-1)
-    return edge.reshape(len(coordinates), -1)
+def _int64(values) -> np.ndarray:
+    """values as an int64 array; a value outside int64 is refused."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError("a vertex coordinate lies outside int64, [-2^63, 2^63 - 1]") from None
 
 
-def _index_of(keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The index in keys of each target, -1 where it is none of them."""
+def _neighbor_index(rows: np.ndarray, moves) -> np.ndarray:
+    """The index in rows of each row stepped by each move, -1 where it is none
+    of them. A move (column, sign) adds sign to one column of each row, the
+    same for every row or one per row; a step that would wrap past either end
+    of int64 lands on no row, whatever the wrapped bytes match. Rows are keyed
+    by their bytes."""
+    at = np.arange(len(rows))
+    steps = np.repeat(rows[:, None, :], len(moves), axis=1)
+    wraps = np.empty(steps.shape[:2], dtype=bool)
+    end = {1: np.iinfo(np.int64).max, -1: np.iinfo(np.int64).min}
+    for m, (column, sign) in enumerate(moves):
+        wraps[:, m] = rows[at, column] == end[sign]
+        steps[at, m, column] += sign
+    key = np.dtype((np.void, 8 * rows.shape[1]))
+    keys, targets = rows.view(key)[:, 0], steps.view(key)[..., 0]
     order = np.argsort(keys)
     ranked = keys[order]
     if np.any(ranked[1:] == ranked[:-1]):
         raise ValidationError("subset has duplicate vertices")
     place = np.minimum(np.searchsorted(ranked, targets), len(ranked) - 1)
-    return np.where(ranked[place] == targets, order[place], -1)
+    return np.where(wraps | (ranked[place] != targets), -1, order[place])
 
 
 _HOSTS = {"z": ZLine(), "z2": ZGrid(), "zwrz": WreathCayley()}

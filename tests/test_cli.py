@@ -309,6 +309,28 @@ class TestConfigPrecedence:
         assert (code, out) == (1, "")
         assert err == "error: WREATH_SEED must be an integer\n"
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_seed_outside_uint64_is_refused_from_every_source(self, capsys, tmp_path, monkeypatch, source, seed):
+        argv = ["walk", "--group", "z", "--out", str(tmp_path / "w")]
+        if source == "flag":
+            argv += ["--seed", seed]
+        elif source == "config":
+            argv = ["--config", self.write_config(tmp_path, f"seed = {seed}\n"), *argv]
+        else:
+            monkeypatch.setenv("WREATH_SEED", seed)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: seed must be in [0, 2^64), got {seed}\n"
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("argv", [("pipeline",), ("embed", "scan", "--sampler", "random"), ("markov", "verify")])
+    def test_every_seeded_command_refuses_a_negative_seed(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # the default --out is ./out
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be in [0, 2^64), got -1\n"
+
 
 class TestMarkovCommands:
     def test_verify_small(self, capsys):
@@ -336,6 +358,20 @@ class TestMarkovCommands:
         code, _, err = run_cli(capsys, "markov", "delayed", "--host", "z", "--subset", "0:x")
         assert code == 1
         assert err == "error: subset spec '0:x' must be colon-separated integers\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("delayed", "--host", "z", "--subset", f"{2**63 - 1}:{2**63}"),
+            ("delayed", "--host", "z2", "--subset", f"0:0:{2**63 - 1}:{2**63}"),
+            # the fattening steps past 2^63 - 1
+            ("replay", "--host", "z", "--F", f"{2**63 - 2}:{2**63 - 1}", "--t", "1"),
+        ],
+    )
+    def test_vertex_outside_int64_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "markov", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: a vertex coordinate lies outside int64, [-2^63, 2^63 - 1]\n"
 
     def test_failed_campaign_exits_2(self, capsys, monkeypatch):
         report = {"pass": False, "maxViolation": 0.5}

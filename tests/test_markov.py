@@ -380,9 +380,24 @@ class TestNeighborIndex:
         with pytest.raises(ValidationError, match="duplicate"):
             host.neighbor_index(vertices)
 
+    @pytest.mark.parametrize(
+        "host_name, vertices",
+        [("z", [0, 2**63]), ("z2", [(0, 0), (0, -(2**63) - 1)]), ("zwrz", [IDENTITY, _lamp(2**63)])],
+    )
+    def test_vertex_outside_int64_is_refused(self, host_name, vertices):
+        host = hosts.host_by_name(host_name)
+        with pytest.raises(ValidationError, match=r"outside int64, \[-2\^63, 2\^63 - 1\]"):
+            host.neighbor_index(vertices)
+
 
 class TestHostDistances:
     """host.distances in one array pass against the scalar host.distance."""
+
+    @pytest.mark.parametrize("host_name, vertices", [("z", [-(2**63) - 1, 0]), ("z2", [(0, 0), (2**63, 0)])])
+    def test_coordinate_outside_int64_is_refused(self, host_name, vertices):
+        host = hosts.host_by_name(host_name)
+        with pytest.raises(ValidationError, match="outside int64"):
+            host.distances(vertices, np.array([0]), np.array([1]))
 
     @pytest.mark.parametrize(
         "host_name, core, radius",
