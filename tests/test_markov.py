@@ -189,6 +189,33 @@ class TestTypeInequality:
             digest.update(np.array([*lhs, rhs]).tobytes())
         assert digest.hexdigest() == "beed427bfc495243c64a925e8013567ecbcc8a347b6975a8571c24680a6f882f"
 
+    def test_workload_campaign_is_frozen(self):
+        # the replay benchmark's campaign, 500 chains of up to 10 states to t = 64:
+        # its report, and every side of every chain it draws
+        assert markov.markov_type_campaign(500, 10, 64, seed=7) == WORKLOAD_CAMPAIGN
+        digest = hashlib.sha256()
+        for chain, points in campaign_draws(500, 10, 7):
+            lhs, rhs = markov.markov_type_sides(chain, points, 2.0, 64)
+            digest.update(np.array([*lhs, rhs]).tobytes())
+        assert digest.hexdigest() == WORKLOAD_SIDES_SHA256
+
+
+WORKLOAD_CAMPAIGN = {
+    "chains": 500, "checks": 32000, "maxViolation": 0.0, "tolerance": 1e-09,
+    "worst": {"chain": 0, "states": 10, "t": 1}, "pass": True,
+}
+WORKLOAD_SIDES_SHA256 = "030d5810c87c85849dceb7956c7341153f97e23360cffbce9fd7417c27c425ac"
+
+
+def campaign_draws(chains, max_states, seed):
+    """The chains and points markov_type_campaign draws, in its order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(chains):
+        n = int(rng.integers(1, max_states + 1))
+        chain = markov.random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
+        dim = int(rng.integers(1, 5))
+        yield chain, rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+
 
 def dense_sides(chain, points, p, t):
     """Both sides at time t as dense formulas over np.linalg.matrix_power."""
