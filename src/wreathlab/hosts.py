@@ -95,6 +95,7 @@ class WreathCayley:
         return metric.distance(u, v).total
 
     def distances(self, vertices: Sequence[GroupElement], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        _wreath_coordinates(vertices)  # refuse a coordinate outside int64 before the table
         lamps, cursors = metric.lamp_table(vertices)
         return metric.distances(lamps, cursors, i, j)
 
@@ -102,9 +103,7 @@ class WreathCayley:
         # a row is the lamp values at every position that holds a lamp or a
         # cursor, then the cursor; unlike lamp_table's window, no column
         # stands for a position between them
-        cursors = _int64([g.cursor for g in vertices])
-        lit = [(r, p, v) for r, g in enumerate(vertices) for p, v in g.lamps.entries]
-        r, p, v = _int64(lit).reshape(-1, 3).T
+        cursors, (r, p, v) = _wreath_coordinates(vertices)
         positions = np.unique(np.concatenate([p, cursors]))
         rows = np.zeros((len(cursors), len(positions) + 1), dtype=np.int64)
         rows[r, np.searchsorted(positions, p)] = v
@@ -123,6 +122,13 @@ def _int64(values) -> np.ndarray:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise ValidationError("a vertex coordinate lies outside int64, [-2^63, 2^63 - 1]") from None
+
+
+def _wreath_coordinates(vertices: Sequence[GroupElement]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 cursors of vertices, and the (row, position, value) columns of
+    every lit lamp; a cursor, position or value outside int64 is refused."""
+    lit = [(r, p, v) for r, g in enumerate(vertices) for p, v in g.lamps.entries]
+    return _int64([g.cursor for g in vertices]), _int64(lit).reshape(-1, 3).T
 
 
 def _neighbor_index(rows: np.ndarray, moves) -> np.ndarray:

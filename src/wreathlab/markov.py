@@ -7,8 +7,12 @@ pi a are exact, each residual rounded once. Three jobs live here:
 
 * exact two-sided evaluation of the Markov-type inequality
   E[||f(Z_t) - f(Z_0)||^p] <= K^p t E[||f(Z_1) - f(Z_0)||^p]
-  on explicit chains: markov_type_sides builds a^t step by step up to tmax
-  and takes every side as one fsum (_weighted_sum), once per campaign chain;
+  on explicit chains: _stacked_sides builds a^t step by step up to tmax for a
+  stack of chains with the same state count, one stacked product per step,
+  and takes every side as one fsum read from the terms' buffer.
+  markov_type_sides is its one-chain stack; the random-chain campaign draws
+  its chains in bounded windows and evaluates each window's chains of equal
+  size as one stack;
 * construction of the delayed walk on a subset A of a host Cayley graph
   (step to an in-subset neighbor with probability 1/degree, stay put with the
   leftover mass), whose rows come from host.neighbor_index in one array pass,
@@ -69,10 +73,14 @@ __all__ = [
 CHAIN_TOL = 1e-12
 # tolerance of the campaign's and the replay's inequality checks
 CHECK_TOL = 1e-9
-# entries of one stack of consecutive powers in markov_type_sides: every side
-# of a campaign chain comes from one stack, and a larger chain's memory stays
-# within a few n x n arrays
+# entries of one stack of consecutive powers in _stacked_sides: a chain's
+# sides come from few stacks, and a larger chain's memory stays within a few
+# n x n arrays
 _STACK_ENTRIES = 2**16
+# most chains one window of the random-chain campaign holds before it evaluates
+# them: each drawn chain also holds a few Python objects, which the entries of
+# its stack do not count
+_WINDOW_CHAINS = 2**10
 
 
 @dataclass(frozen=True)
@@ -114,14 +122,12 @@ class FiniteChain:
 
 def _worst_residual(groups: np.ndarray, terms: np.ndarray, targets: np.ndarray) -> float:
     """max over g of |sum of the terms in group g - targets[g]|, each exact and rounded once."""
-    order = np.argsort(groups, kind="stable")
-    ends = np.searchsorted(groups[order], np.arange(len(targets)), side="right").tolist()
-    flat = terms[order].tolist()
-    worst, start = 0.0, 0
-    for end, target in zip(ends, targets.tolist()):
-        worst = max(worst, abs(math.fsum([*flat[start:end], -target])))
-        start = end
-    return worst
+    # each group's terms in their order, then its -target: one fsum a group
+    keys = np.concatenate([groups, np.arange(len(targets))])
+    order = np.argsort(keys, kind="stable")
+    ends = np.searchsorted(keys[order], np.arange(len(targets)), side="right").tolist()
+    flat = memoryview(np.concatenate([terms, -targets])[order])
+    return max([0.0] + [abs(math.fsum(flat[start:end])) for start, end in zip([0, *ends], ends)])
 
 
 def chain_residuals(chain: FiniteChain) -> dict[str, float]:
@@ -163,7 +169,13 @@ def _pairwise_power(points: np.ndarray, p: float) -> np.ndarray:
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
     """fsum of weights * values, each term one float product."""
-    return math.fsum((weights * values).ravel().tolist())
+    return math.fsum(memoryview((weights * values).ravel()))
+
+
+def _run_sums(terms: np.ndarray, size: int) -> list[float]:
+    """fsum of each run of size consecutive terms in C order, read from a buffer."""
+    flat = memoryview(terms.ravel())
+    return [math.fsum(flat[k : k + size]) for k in range(0, len(flat), size)]
 
 
 def _state_points(points, n: int) -> np.ndarray:
@@ -179,6 +191,36 @@ def _state_points(points, n: int) -> np.ndarray:
     return points
 
 
+def _stacked_sides(
+    chains: Sequence[FiniteChain], dps: Sequence[np.ndarray], tmax: int
+) -> tuple[list[list[float]], list[float]]:
+    """Both sides for m validated chains of n states each, dps their n x n
+    ||x_i - x_j||^p.
+
+    Every chain's a^t is built one step at a time from the identity, one
+    stacked product per step; m x depth x n x n consecutive powers are held at
+    a time, within _STACK_ENTRIES unless depth 1 is already past it. Returns
+    each chain's lhs for t = 1..tmax and its one-step rhs; every side is one
+    fsum of the terms (pi_i w_ij) dp_ij, w = a^t or a.
+    """
+    m, n = len(chains), chains[0].n
+    pi = np.stack([chain.pi for chain in chains])[:, None, :, None]
+    a = np.stack([chain.dense() for chain in chains])
+    dp = np.stack(dps)
+    depth = max(1, _STACK_ENTRIES // (m * n * n))
+    lhs: list[list[float]] = [[] for _ in range(m)]
+    at = np.broadcast_to(np.eye(n), a.shape)
+    for start in range(0, tmax, depth):
+        count = min(depth, tmax - start)
+        powers = np.empty((m, count, n, n))
+        for k in range(count):
+            at = np.matmul(at, a, out=powers[:, k])
+        sides = _run_sums(pi * powers * dp[:, None], n * n)
+        for c, row in enumerate(lhs):
+            row += sides[c * count : (c + 1) * count]
+    return lhs, _run_sums(pi[:, 0] * a * dp, n * n)
+
+
 def markov_type_sides(
     chain: FiniteChain, points: np.ndarray, p: float, tmax: int
 ) -> tuple[list[float], float]:
@@ -186,53 +228,69 @@ def markov_type_sides(
 
     Returns (lhs, rhs) with lhs[t - 1] = sum_i pi_i (a^t)_ij ||x_i - x_j||^p for
     t = 1..tmax and the one-step rhs = sum_i pi_i a_ij ||.||^p, so the caller
-    may test lhs[t - 1] <= K^p t rhs for any K. a^t is built one step at a
-    time from the identity, the sides of consecutive powers from one stack of
-    them; every side is one fsum.
+    may test lhs[t - 1] <= K^p t rhs for any K: the one-chain stack of
+    _stacked_sides.
     """
     if tmax < 1:
         raise ValidationError("tmax must be >= 1")
     if not 1 <= p < math.inf:  # nan fails too
         raise ValidationError("p must be finite and >= 1")
     chain.validate()
-    n = chain.n
-    dp = _pairwise_power(_state_points(points, n), p)
-    pi = chain.pi[:, None]
-    a = chain.dense()
-    depth = max(1, _STACK_ENTRIES // (n * n))
-    lhs: list[float] = []
-    at = np.eye(n)
-    for start in range(0, tmax, depth):
-        powers = np.empty((min(depth, tmax - start), n, n))
-        for k in range(len(powers)):
-            at = powers[k] = at @ a
-        # each term (pi_i (a^t)_ij) dp_ij, as _weighted_sum forms it
-        lhs += map(math.fsum, (pi * powers * dp).reshape(len(powers), -1).tolist())
-    return lhs, _weighted_sum(pi * a, dp)
+    dp = _pairwise_power(_state_points(points, chain.n), p)
+    (lhs,), (rhs,) = _stacked_sides([chain], [dp], tmax)
+    return lhs, rhs
+
+
+def _campaign_sides(chains: int, max_states: int, tmax: int, seed: int):
+    """Yield (n, lhs, rhs) at p = 2 for every chain markov_type_campaign draws, in order.
+
+    Chains and points are drawn a window at a time, in the order of one
+    stream; a window's chains of equal state count are one stack of
+    _stacked_sides. A window's dense arrays fill at most one stack, and it
+    holds at most _WINDOW_CHAINS chains, so memory does not grow with chains.
+    """
+    rng = np.random.default_rng(seed)
+    window = max(1, min(_STACK_ENTRIES // max_states**2, _WINDOW_CHAINS))
+    for first in range(0, chains, window):
+        drawn = []
+        for _ in range(min(window, chains - first)):
+            n = int(rng.integers(1, max_states + 1))
+            chain = random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
+            dim = int(rng.integers(1, 5))
+            points = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+            chain.validate()
+            drawn.append((chain, points))
+        groups: dict[int, list[int]] = {}
+        for k, (chain, _) in enumerate(drawn):
+            groups.setdefault(chain.n, []).append(k)
+        sides: list = [None] * len(drawn)
+        for n, members in groups.items():
+            lhs, rhs = _stacked_sides(
+                [drawn[k][0] for k in members], [_pairwise_power(drawn[k][1], 2.0) for k in members], tmax
+            )
+            for k, chain_lhs, chain_rhs in zip(members, lhs, rhs):
+                sides[k] = (n, chain_lhs, chain_rhs)
+        yield from sides
 
 
 def markov_type_campaign(chains: int, max_states: int, tmax: int, seed: int) -> dict:
     """Check the p = 2, K = 1 inequality on a batch of random chains.
 
     Each chain gets a random Euclidean embedding and is tested at every
-    t = 1..tmax by markov_type_sides. Returns a summary dict; the caller
-    decides whether maxViolation > tolerance is fatal.
+    t = 1..tmax, its sides from _campaign_sides. Returns a summary dict; the
+    caller decides whether maxViolation > tolerance is fatal.
     """
     if chains < 1:
         raise ValidationError("chains must be >= 1")
     if max_states < 1:
         raise ValidationError("max_states must be >= 1")
     check_dense_chain(max_states)  # every chain has at most max_states states
-    rng = np.random.default_rng(seed)
+    if tmax < 1:
+        raise ValidationError("tmax must be >= 1")
     max_violation = -math.inf
     worst = None
     checks = 0
-    for index in range(chains):
-        n = int(rng.integers(1, max_states + 1))
-        chain = random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
-        dim = int(rng.integers(1, 5))
-        points = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
-        lhs, rhs_step = markov_type_sides(chain, points, 2.0, tmax)
+    for index, (n, lhs, rhs_step) in enumerate(_campaign_sides(chains, max_states, tmax, seed)):
         for t, value in enumerate(lhs, start=1):
             violation = value - t * rhs_step
             checks += 1

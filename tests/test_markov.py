@@ -199,6 +199,64 @@ class TestTypeInequality:
             digest.update(np.array([*lhs, rhs]).tobytes())
         assert digest.hexdigest() == WORKLOAD_SIDES_SHA256
 
+    @pytest.mark.parametrize("entries", [200, 4])
+    def test_stack_boundaries_keep_every_side(self, monkeypatch, entries):
+        # 60 chains of up to 3 states to t = 16: at 200 entries a stack holds a
+        # window of 22 chains, so each state count's chains fall in several
+        # stacks, and a stack holds 200 // (m n^2) < 16 powers of m >= 2 chains;
+        # at 4 entries every chain is its own stack of one power at a time
+        want_report = markov.markov_type_campaign(60, 3, 16, seed=5)
+        want = [(chain.n, *markov.markov_type_sides(chain, points, 2.0, 16))
+                for chain, points in campaign_draws(60, 3, 5)]
+        stacks = []
+        stacked_sides = markov._stacked_sides
+
+        def spy(chains, dps, tmax):
+            stacks.append((len(chains), chains[0].n))
+            return stacked_sides(chains, dps, tmax)
+
+        monkeypatch.setattr(markov, "_STACK_ENTRIES", entries)
+        monkeypatch.setattr(markov, "_stacked_sides", spy)
+        assert list(markov._campaign_sides(60, 3, 16, 5)) == want
+        assert markov.markov_type_campaign(60, 3, 16, seed=5) == want_report
+        assert sum(m for m, _ in stacks) == 2 * 60
+        if entries == 200:
+            assert any(m >= 2 and entries // (m * n * n) < 16 for m, n in stacks)
+            assert any(sum(size == n for _, size in stacks) > 2 for n in (1, 2, 3))
+        else:
+            assert {m for m, _ in stacks} == {1}
+
+    def test_weighted_sum_reads_the_bits_of_the_list(self):
+        # subnormals, signed zeros and magnitudes 1e-300..1e300, float32 and
+        # float64 weights, in C and Fortran order: the buffer holds the floats
+        # tolist() would, so every sum keeps its bits
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            shape = (int(rng.integers(0, 12)), int(rng.integers(1, 12)))
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            kind = rng.integers(0, 4, shape)
+            values[kind == 0] = rng.integers(1, 2**20, shape)[kind == 0] * 5e-324
+            values[kind == 1] = np.copysign(0.0, rng.standard_normal(shape))[kind == 1]
+            weights = rng.uniform(0.0, 2.0, shape).astype(np.float32 if trial % 2 else np.float64)
+            weights[rng.random(shape) < 0.1] = -0.0
+            if trial % 3 == 0:
+                values, weights = np.asfortranarray(values), np.asfortranarray(weights)
+            want = math.fsum((weights * values).ravel().tolist())
+            got = markov._weighted_sum(weights, values)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
+
+    def test_campaign_memory_does_not_grow_with_chains(self):
+        # chains are drawn and held one window at a time
+        peaks = []
+        for chains in (500, 4000):
+            tracemalloc.start()
+            try:
+                markov.markov_type_campaign(chains, 10, 64, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
 
 WORKLOAD_CAMPAIGN = {
     "chains": 500, "checks": 32000, "maxViolation": 0.0, "tolerance": 1e-09,
@@ -425,6 +483,15 @@ class TestHostDistances:
         host = hosts.host_by_name(host_name)
         with pytest.raises(ValidationError, match="outside int64"):
             host.distances(vertices, np.array([0]), np.array([1]))
+
+    @pytest.mark.parametrize(
+        "element",
+        [_lamp(2**63), _lamp(0, (-(2**63) - 1, 1)), _lamp(0, (0, 2**63))],
+        ids=["cursor", "lamp-position", "lamp-value"],
+    )
+    def test_wreath_coordinate_outside_int64_is_refused(self, element):
+        with pytest.raises(ValidationError, match=r"outside int64, \[-2\^63, 2\^63 - 1\]"):
+            hosts.WreathCayley().distances([IDENTITY, element], np.array([0]), np.array([1]))
 
     @pytest.mark.parametrize(
         "host_name, core, radius",
