@@ -156,7 +156,7 @@ def chain_residuals(chain: FiniteChain) -> dict[str, float]:
     flow = pi[i] * a
     return {
         "row-stochasticity": _worst_residual(i, a, np.ones(n)),
-        "pi-normalization": float(abs(math.fsum(pi.tolist()) - 1.0)),
+        "pi-normalization": float(abs(math.fsum(memoryview(pi.ravel())) - 1.0)),
         "stationarity": _worst_residual(j, flow, pi),
         "detailed-balance": float(np.abs(flow - pi[j] * transposed).max(initial=0.0)),
     }
