@@ -5,13 +5,16 @@ deterministic vertex ordering. The line and the grid use their closed-form
 metrics; the wreath host delegates to the exact word metric, so none of the
 chain constructions ever needs a graph search for distances. Besides the
 scalar distance(u, v), each host takes distances(vertices, i, j): the int64
-distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass.
+distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass,
+each distance's value; a set is refused where a bound on the pass's values,
+from the spans (max - min) of its coordinates, passes int64.
 Besides neighbors(v), each host takes neighbor_index(vertices): the
 (n, degree) int64 index in vertices of each vertex's neighbors, in neighbors'
 order, -1 for a neighbor outside, in one array pass: each host writes its
-vertices as the rows of one int64 table and names the column and sign of each
-generator's step, and _neighbor_index keys rows by their bytes, refuses
-duplicates and finds each step with argsort and searchsorted. A coordinate
+vertices as the rows of one int64 table (the wreath's from _wreath_rows, as in
+distances) and names the column and sign of each generator's step, and
+_neighbor_index keys rows by their bytes, refuses duplicates and finds each
+step with argsort and searchsorted. A coordinate
 outside int64 is refused; a step past either end of int64 is in no vertex set.
 union_of_balls runs metric.breadth_first over any host's neighbors.
 """
@@ -51,6 +54,7 @@ class ZLine:
 
     def distances(self, vertices: Sequence[int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
         x = _int64(vertices)
+        _check_span(_span(x))
         return np.abs(x[i] - x[j])
 
     def neighbor_index(self, vertices: Sequence[int]) -> np.ndarray:
@@ -74,6 +78,7 @@ class ZGrid:
 
     def distances(self, vertices: Sequence[tuple[int, int]], i: np.ndarray, j: np.ndarray) -> np.ndarray:
         xy = _int64(vertices).reshape(-1, 2)
+        _check_span(_span(xy[:, 0]) + _span(xy[:, 1]))
         return np.abs(xy[i] - xy[j]).sum(axis=1)
 
     def neighbor_index(self, vertices: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -95,20 +100,14 @@ class WreathCayley:
         return metric.distance(u, v).total
 
     def distances(self, vertices: Sequence[GroupElement], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        _wreath_coordinates(vertices)  # refuse a coordinate outside int64 before the table
-        lamps, cursors = metric.lamp_table(vertices)
-        return metric.distances(lamps, cursors, i, j)
+        rows, positions = _wreath_rows(vertices)
+        # lamp cost: at most the table's span a column; sweeps: twice the positions'
+        _check_span(len(positions) * _span(rows[:, :-1]) + 2 * _span(positions))
+        return metric.distances(rows[:, :-1], rows[:, -1], positions, i, j)
 
     def neighbor_index(self, vertices: Sequence[GroupElement]) -> np.ndarray:
-        # a row is the lamp values at every position that holds a lamp or a
-        # cursor, then the cursor; unlike lamp_table's window, no column
-        # stands for a position between them
-        cursors, (r, p, v) = _wreath_coordinates(vertices)
-        positions = np.unique(np.concatenate([p, cursors]))
-        rows = np.zeros((len(cursors), len(positions) + 1), dtype=np.int64)
-        rows[r, np.searchsorted(positions, p)] = v
-        rows[:, -1] = cursors
-        under = np.searchsorted(positions, cursors)  # the lamp under the cursor
+        rows, positions = _wreath_rows(vertices)
+        under = np.searchsorted(positions, rows[:, -1])  # the lamp under the cursor
         # lamp+, lamp-, move+, move-: metric.neighbors' order
         return _neighbor_index(rows, [(under, 1), (under, -1), (-1, 1), (-1, -1)])
 
@@ -124,11 +123,29 @@ def _int64(values) -> np.ndarray:
         raise ValidationError("a vertex coordinate lies outside int64, [-2^63, 2^63 - 1]") from None
 
 
-def _wreath_coordinates(vertices: Sequence[GroupElement]) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 cursors of vertices, and the (row, position, value) columns of
-    every lit lamp; a cursor, position or value outside int64 is refused."""
+def _span(values: np.ndarray) -> int:
+    """max - min of an int64 array, as a Python int; 0 when it is empty."""
+    return int(values.max()) - int(values.min()) if values.size else 0
+
+
+def _check_span(bound: int) -> None:
+    """Refuse a vertex set whose bound on its distances' int64 values passes int64."""
+    if bound > np.iinfo(np.int64).max:
+        raise ValidationError("the vertices' coordinates span too far: a distance may pass int64, 2^63 - 1")
+
+
+def _wreath_rows(vertices: Sequence[GroupElement]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, positions): a row holds a vertex's lamp values at positions, the
+    sorted positions of every lamp and cursor, then its cursor. A cursor,
+    position or value outside int64 is refused."""
     lit = [(r, p, v) for r, g in enumerate(vertices) for p, v in g.lamps.entries]
-    return _int64([g.cursor for g in vertices]), _int64(lit).reshape(-1, 3).T
+    cursors = _int64([g.cursor for g in vertices])
+    r, p, v = _int64(lit).reshape(-1, 3).T
+    positions = np.unique(np.concatenate([p, cursors]))
+    rows = np.zeros((len(cursors), len(positions) + 1), dtype=np.int64)
+    rows[r, np.searchsorted(positions, p)] = v
+    rows[:, -1] = cursors
+    return rows, positions
 
 
 def _neighbor_index(rows: np.ndarray, moves) -> np.ndarray:

@@ -14,10 +14,9 @@ Correctness is gated on the breadth-first oracle over the Cayley graph; the
 two agree exactly on the whole radius-8 ball.
 
 The array form takes many pairs in one numpy pass. distances reads each pair
-(a, b) of rows of any int64 table in lamp_table's layout (lamp values over a
-fixed window, cursors in its columns) off a^-1 b = (shift by -k_a of f_b - f_a,
-k_b - k_a). lamp_table packs elements into such a table; the walk builds its
-own. The scalar distance stays the reference the tests compare it against.
+(a, b) of rows of an int64 lamp table off a^-1 b = (shift by -k_a of f_b - f_a,
+k_b - k_a), column c at positions[c]: hosts.WreathCayley's lamps and cursors,
+or the walk's window. The scalar distance is the reference the tests hold it to.
 ball and hosts.union_of_balls share one breadth_first search; distance_bfs,
 the oracle, keeps its own; both refuse an oversized radius before they search.
 """
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "MetricWitness",
     "BallTable",
     "distance",
-    "lamp_table",
     "distances",
     "distance_bfs",
     "breadth_first",
@@ -91,43 +89,26 @@ def distance(a: GroupElement, b: GroupElement) -> MetricWitness:
     return witness_for(h.lamps, h.cursor)
 
 
-def lamp_table(elements: Sequence[GroupElement]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack elements into (lamps, cursors) for distances.
-
-    Row r of the int64 table lamps holds the lamp values of elements[r] over
-    the smallest window that covers every support; column c stands for
-    position lo + c. cursors[r] is the cursor of elements[r] minus lo, so it
-    is measured in columns too. Left multiplication by the translation by -lo
-    moves every element into this frame, and the metric is left-invariant.
-    The table is dense: len(elements) rows by the span of all supports.
-    """
-    support = [p for g in elements for p, _ in g.lamps.entries]
-    lo = min(support, default=0)
-    width = max(support, default=0) - lo + 1
-    rows = [r for r, g in enumerate(elements) for _ in g.lamps.entries]
-    values = [v for g in elements for _, v in g.lamps.entries]
-    lamps = np.zeros((len(elements), width), dtype=np.int64)
-    lamps[rows, np.asarray(support, dtype=np.int64) - lo] = values
-    cursors = np.array([g.cursor - lo for g in elements], dtype=np.int64)
-    return lamps, cursors
-
-
-def distances(lamps: np.ndarray, cursors: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def distances(
+    lamps: np.ndarray, cursors: np.ndarray, positions: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
     """Exact distances from row i[m] to row j[m] of a lamp table, for every m.
 
-    The table may be any in lamp_table's layout: int64 lamp values over a
-    window, and int64 cursors measured in the window's columns. Equal to
-    distance(a, b).total on every pair, in int64 throughout.
+    Column c of lamps is at positions[c], which are sorted, and every cursor
+    is one of the positions. Equal to distance(a, b).total on every pair whose
+    values stay in int64; the caller checks that they do.
     """
     diff = lamps[j] - lamps[i]
     lamp_cost = np.abs(diff).sum(axis=1)
     lit = diff != 0
+    if not positions.size:
+        return lamp_cost  # no positions: no rows, so no pairs
     nonempty = lit.any(axis=1)
     k_a = cursors[i]
     k = cursors[j] - k_a
     # support ends of f_b - f_a shifted by -k_a; an empty support adds no end
-    first = np.where(nonempty, lit.argmax(axis=1) - k_a, 0)
-    last = np.where(nonempty, lit.shape[1] - 1 - lit[:, ::-1].argmax(axis=1) - k_a, 0)
+    first = np.where(nonempty, positions[lit.argmax(axis=1)] - k_a, 0)
+    last = np.where(nonempty, positions[lit.shape[1] - 1 - lit[:, ::-1].argmax(axis=1)] - k_a, 0)
     left = np.minimum(np.minimum(first, 0), k)
     right = np.maximum(np.maximum(last, 0), k)
     # the better sweep of witness_for: both cost 2 (right - left) -/+ k

@@ -24,12 +24,12 @@ minor page fault each, where arrays allocated per trial took eight.
 Both walks are vectorized per trial, and each reads its row off a path that
 starts at 0. The line walk's path counts the right steps. The wreath walk
 takes the cursor as a cumulative sum of a lookup of the step codes, and keeps
-the lamps at each requested time as one row of a lamp table: one bincount,
-keyed by row and cursor column and weighted +-1 by the lamp steps, collects
-each interval's increments, and a cumulative sum down the rows turns them
-into the lamps. One metric.distances call per trial reads every displacement
-off that table, and each row's lamp mass splits it exactly into lamp mass
-plus cursor travel.
+the lamps at each requested time as one row of a lamp table over the cursor's
+window: one bincount, keyed by row and cursor column and weighted +-1 by the
+lamp steps, collects each interval's increments, and a cumulative sum down
+the rows turns them into the lamps. One metric.distances call per trial reads
+every displacement off that table, and each row's lamp mass splits it exactly
+into lamp mass plus cursor travel.
 
 fit_power_law is the package's one log-log least-squares line: estimate_beta
 fits displacement against time with it, embedding.compression_scan norm
@@ -194,8 +194,8 @@ def _wreath_walk(seed: int, times: tuple[int, ...]) -> Callable[[int], tuple[np.
 
     cursor[s] is the cursor after s steps, and lamp step s + 1 (code 0 adds
     one, code 1 takes one away) acts at cursor[s]. Row 0 of the lamp table is
-    the identity and row c + 1 the lamps at times[c], in metric.lamp_table's
-    layout (columns are cursor positions minus the cursor minimum). One
+    the identity and row c + 1 the lamps at times[c]; column c stands for
+    position c, cursor positions minus their minimum, for metric.distances. One
     bincount keyed by (row, column) adds each step's lamp increment into the
     first row whose time is past it, and a cumulative sum down the rows gives
     the table. Every code is below 4, so the lookups take in clip mode, which
@@ -229,7 +229,8 @@ def _wreath_walk(seed: int, times: tuple[int, ...]) -> Callable[[int], tuple[np.
         increments = np.bincount(key, weights=weights, minlength=rows * width)
         lamps = np.cumsum(increments.reshape(rows, width), axis=0, dtype=np.int64)
         cursors = cursor[at] - lo
-        return metric.distances(lamps, cursors, origin, sampled), np.abs(lamps[1:]).sum(axis=1)
+        # no int64 check, unlike host.distances: the memory guard keeps every span here tiny
+        return metric.distances(lamps, cursors, np.arange(width), origin, sampled), np.abs(lamps[1:]).sum(axis=1)
 
     return trial
 

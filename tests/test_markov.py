@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathlab import errors, hosts, markov, metric
 from wreathlab.errors import ResourceLimitError, ValidationError
@@ -437,6 +438,37 @@ NEIGHBOR_SETS = [
 ]
 
 
+# near 0, +-2^62 and the ends of int64
+_EDGE = st.builds(
+    lambda anchor, offset: min(max(anchor + offset, -(2**63)), 2**63 - 1),
+    st.sampled_from([0, 2**62, -(2**62), 2**63 - 1, -(2**63)]),
+    st.integers(-3, 3),
+)
+
+
+def _edge_vertex(host_name):
+    if host_name == "z":
+        return _EDGE
+    if host_name == "z2":
+        return st.tuples(_EDGE, _EDGE)
+    lamps = st.dictionaries(_EDGE, _EDGE.filter(bool), max_size=3)
+    return st.builds(lambda d, k: GroupElement(LampConfig(tuple(sorted(d.items()))), k), lamps, _EDGE)
+
+
+def _edge_coordinates(host_name, vertices):
+    """The coordinate groups whose spans bound each host's distances."""
+    if host_name == "z":
+        return [vertices]
+    if host_name == "z2":
+        return [[x for x, _ in vertices], [y for _, y in vertices]]
+    places = [g.cursor for g in vertices] + [p for g in vertices for p in g.lamps.support()]
+    return [places, [0] + [v for g in vertices for _, v in g.lamps.entries]]
+
+
+def _span(values):
+    return max(values) - min(values)
+
+
 class TestNeighborIndex:
     """host.neighbor_index and the row-form delayed walk against the dict loops."""
 
@@ -499,17 +531,68 @@ class TestHostDistances:
             ("z", hosts.interval(-6, 6), 3),
             ("z2", hosts.box(-2, 2, -2, 2), 2),
             ("zwrz", hosts.wreath_truncation(1, 1, 1), 1),
+            # fattened by nothing: cursors 10^12 apart and sets at the ends of int64
+            *((host_name, vertices, 0) for host_name, vertices in NEIGHBOR_SETS),
         ],
     )
     def test_equal_to_scalar_on_a_fattened_set(self, host_name, core, radius):
         host = hosts.host_by_name(host_name)
         vertices = hosts.union_of_balls(host, core, radius)
         i, j = np.triu_indices(len(vertices))
-        got = host.distances(vertices, i, j)
-        assert got.dtype == np.int64
-        assert got.tolist() == [
-            host.distance(vertices[a], vertices[b]) for a, b in zip(i.tolist(), j.tolist())
-        ]
+        # every pair, or an even stride of 20,000 on the two largest sets
+        stride = max(1, len(i) // 20_000)
+        i, j = i[::stride], j[::stride]
+        want = [host.distance(vertices[a], vertices[b]) for a, b in zip(i.tolist(), j.tolist())]
+        try:
+            got = host.distances(vertices, i, j)
+        except ValidationError:
+            assert max(want) > 2**62  # only a set near the ends of int64 is refused
+        else:
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "host_name, vertices",
+        [
+            ("z", [-(2**62), 2**62]),
+            ("z2", [(0, -(2**62)), (2**62, 2**62)]),
+            ("zwrz", [IDENTITY, _lamp(2**63 - 1, (-1, 1))]),
+            ("zwrz", [_lamp(0, (0, -(2**62))), _lamp(0, (0, 2**62))]),
+            ("zwrz", [_lamp(0, (-(2**40), 1)), _lamp(0, (2**40, 1))]),
+            ("z", [-(2**63), -(2**63) + 1]),
+        ],
+        ids=["line-wrap", "grid-wrap", "wreath-lo-shift", "wreath-lamps-2^62", "wreath-lamps-at-2^40", "line-narrow"],
+    )
+    def test_int64_edges_give_the_scalar_value_or_are_refused(self, host_name, vertices):
+        host = hosts.host_by_name(host_name)
+        want = host.distance(*vertices)
+        if want > 2**63 - 1:
+            with pytest.raises(ValidationError, match="a distance may pass int64"):
+                host.distances(vertices, np.array([0]), np.array([1]))
+        else:
+            assert host.distances(vertices, np.array([0]), np.array([1])).tolist() == [want]
+
+    @pytest.mark.parametrize("host_name", ["z", "z2", "zwrz"])
+    def test_empty_set_has_no_distances(self, host_name):
+        none = np.array([], dtype=np.int64)
+        assert hosts.host_by_name(host_name).distances([], none, none).tolist() == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_scalar_value_or_refusal_near_the_ends_of_int64(self, data):
+        host_name = data.draw(st.sampled_from(["z", "z2", "zwrz"]))
+        vertices = data.draw(st.lists(_edge_vertex(host_name), min_size=2, max_size=4))
+        n = len(vertices)
+        i, j = np.divmod(np.arange(n * n), n)
+        want = [hosts.host_by_name(host_name).distance(vertices[a], vertices[b]) for a, b in zip(i, j)]
+        try:
+            got = hosts.host_by_name(host_name).distances(vertices, i, j)
+        except ValidationError:
+            # every bound holds on a set whose coordinates, and lamp values with
+            # 0, each span less than 2^58
+            assert max(map(_span, _edge_coordinates(host_name, vertices))) >= 2**58
+        else:
+            assert got.tolist() == want
 
 
 def test_interval_whose_chain_cannot_fit_is_refused_before_it_is_built():

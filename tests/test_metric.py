@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wreathlab import metric
+from wreathlab import hosts, metric
 from wreathlab.errors import RadiusExceededError, ResourceLimitError
 from wreathlab.group import IDENTITY, element_from_text, inverse, multiply
 
@@ -57,23 +57,14 @@ class TestClosedForm:
 
 
 def array_distances(pairs):
-    """metric.distances over (a, b) pairs, all packed into one lamp table."""
-    lamps, cursors = metric.lamp_table([g for pair in pairs for g in pair])
+    """metric.distances over (a, b) pairs, all packed into one set of wreath rows."""
     a_rows = np.arange(0, 2 * len(pairs), 2)
-    return metric.distances(lamps, cursors, a_rows, a_rows + 1).tolist()
+    elements = [g for pair in pairs for g in pair]
+    return hosts.WreathCayley().distances(elements, a_rows, a_rows + 1).tolist()
 
 
 class TestArrayForm:
     """metric.distances against the scalar closed form it must equal."""
-
-    def test_lamp_table_layout(self):
-        lamps, cursors = metric.lamp_table(
-            [element_from_text("2; -1:3"), element_from_text("-4; 3:-2")]
-        )
-        # the window starts at position -1, so cursors shift by +1
-        assert lamps.dtype == cursors.dtype == np.int64
-        assert lamps.tolist() == [[3, 0, 0, 0, 0], [0, 0, 0, 0, -2]]
-        assert cursors.tolist() == [3, -3]
 
     def test_identity_to_ball8(self, ball8):
         pairs = [(IDENTITY, g) for g in ball8]
