@@ -14,8 +14,8 @@ order, -1 for a neighbor outside, in one array pass: each host writes its
 vertices as the rows of one int64 table (the wreath's from _wreath_rows, as in
 distances) and names the column and sign of each generator's step, and
 _neighbor_index keys rows by their bytes, refuses duplicates and finds each
-step with argsort and searchsorted. A coordinate
-outside int64 is refused; a step past either end of int64 is in no vertex set.
+step with argsort and searchsorted. A coordinate outside int64 is refused; a
+step past either end of int64 is in no vertex set.
 union_of_balls runs metric.breadth_first over any host's neighbors.
 """
 
@@ -101,7 +101,7 @@ class WreathCayley:
 
     def distances(self, vertices: Sequence[GroupElement], i: np.ndarray, j: np.ndarray) -> np.ndarray:
         rows, positions = _wreath_rows(vertices)
-        # lamp cost: at most the table's span a column; sweeps: twice the positions'
+        # a pair's lamp cost is at most a table span per column, its sweeps twice the positions' span
         _check_span(len(positions) * _span(rows[:, :-1]) + 2 * _span(positions))
         return metric.distances(rows[:, :-1], rows[:, -1], positions, i, j)
 

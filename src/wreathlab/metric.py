@@ -15,8 +15,8 @@ two agree exactly on the whole radius-8 ball.
 
 The array form takes many pairs in one numpy pass. distances reads each pair
 (a, b) of rows of an int64 lamp table off a^-1 b = (shift by -k_a of f_b - f_a,
-k_b - k_a), column c at positions[c]: hosts.WreathCayley's lamps and cursors,
-or the walk's window. The scalar distance is the reference the tests hold it to.
+k_b - k_a); column c is at positions[c] (hosts.WreathCayley: each lamp or
+cursor position; the walk: a dense window). The scalar distance is its reference.
 ball and hosts.union_of_balls share one breadth_first search; distance_bfs,
 the oracle, keeps its own; both refuse an oversized radius before they search.
 """

@@ -561,7 +561,9 @@ class TestHostDistances:
             ("zwrz", [_lamp(0, (-(2**40), 1)), _lamp(0, (2**40, 1))]),
             ("z", [-(2**63), -(2**63) + 1]),
         ],
-        ids=["line-wrap", "grid-wrap", "wreath-lo-shift", "wreath-lamps-2^62", "wreath-lamps-at-2^40", "line-narrow"],
+        ids=[
+            "line-wrap", "grid-wrap", "wreath-lo-shift", "wreath-lamps-2^62", "wreath-lamps-at-2^40", "line-narrow"
+        ],
     )
     def test_int64_edges_give_the_scalar_value_or_are_refused(self, host_name, vertices):
         host = hosts.host_by_name(host_name)
@@ -581,12 +583,13 @@ class TestHostDistances:
     @given(st.data())
     def test_property_scalar_value_or_refusal_near_the_ends_of_int64(self, data):
         host_name = data.draw(st.sampled_from(["z", "z2", "zwrz"]))
+        host = hosts.host_by_name(host_name)
         vertices = data.draw(st.lists(_edge_vertex(host_name), min_size=2, max_size=4))
         n = len(vertices)
         i, j = np.divmod(np.arange(n * n), n)
-        want = [hosts.host_by_name(host_name).distance(vertices[a], vertices[b]) for a, b in zip(i, j)]
+        want = [host.distance(vertices[a], vertices[b]) for a, b in zip(i, j)]
         try:
-            got = hosts.host_by_name(host_name).distances(vertices, i, j)
+            got = host.distances(vertices, i, j)
         except ValidationError:
             # every bound holds on a set whose coordinates, and lamp values with
             # 0, each span less than 2^58
