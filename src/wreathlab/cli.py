@@ -1,10 +1,10 @@
 """Reproducible experiment front end.
 
-Exit codes: 0 success, 1 validation or usage error, 2 a mathematical invariant
-was observed to fail (the test-facing signal), 3 resource limit. Every file
-output lands under --out together with a manifest carrying the exact config,
-the seed, and a checksum per artifact; identical config and seed reproduce
-byte-identical CSV bodies.
+Exit codes: 0 success, 1 validation or usage error or standard output closed
+early, 2 a mathematical invariant was observed to fail (the test-facing
+signal), 3 resource limit. Every file output lands under --out together with a
+manifest carrying the exact config, the seed, and a checksum per artifact;
+identical config and seed reproduce byte-identical CSV bodies.
 
 Parameter precedence: explicit flags, then a plain key=value --config file,
 then the WREATH_SEED environment variable (seed only), then defaults. A seed
@@ -613,7 +613,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # output closed early: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -73,13 +73,12 @@ __all__ = [
 CHAIN_TOL = 1e-12
 # tolerance of the campaign's and the replay's inequality checks
 CHECK_TOL = 1e-9
-# entries of one stack of consecutive powers in _stacked_sides: a chain's
-# sides come from few stacks, and a larger chain's memory stays within a few
-# n x n arrays
+# entries of each m x n x n array that one window of the random-chain campaign
+# holds at max_states states (one chain at least, whatever its size)
 _STACK_ENTRIES = 2**16
 # most chains one window of the random-chain campaign holds before it evaluates
 # them: each drawn chain also holds a few Python objects, which the entries of
-# its stack do not count
+# its arrays do not count
 _WINDOW_CHAINS = 2**10
 
 
@@ -198,27 +197,22 @@ def _stacked_sides(
     ||x_i - x_j||^p.
 
     Every chain's a^t is built one step at a time from the identity, one
-    stacked product per step; m x depth x n x n consecutive powers are held at
-    a time, within _STACK_ENTRIES unless depth 1 is already past it. Returns
-    each chain's lhs for t = 1..tmax and its one-step rhs; every side is one
-    fsum of the terms (pi_i w_ij) dp_ij, w = a^t or a.
+    stacked product per step, and each step's sides are taken before the
+    next: a, dp and a^t, three m x n x n arrays, are held at a time, with the
+    step's terms. Returns each chain's lhs for t = 1..tmax and its one-step
+    rhs; every side is one fsum of the terms (pi_i w_ij) dp_ij, w = a^t or a.
     """
     m, n = len(chains), chains[0].n
-    pi = np.stack([chain.pi for chain in chains])[:, None, :, None]
+    pi = np.stack([chain.pi for chain in chains])[:, :, None]
     a = np.stack([chain.dense() for chain in chains])
     dp = np.stack(dps)
-    depth = max(1, _STACK_ENTRIES // (m * n * n))
     lhs: list[list[float]] = [[] for _ in range(m)]
     at = np.broadcast_to(np.eye(n), a.shape)
-    for start in range(0, tmax, depth):
-        count = min(depth, tmax - start)
-        powers = np.empty((m, count, n, n))
-        for k in range(count):
-            at = np.matmul(at, a, out=powers[:, k])
-        sides = _run_sums(pi * powers * dp[:, None], n * n)
-        for c, row in enumerate(lhs):
-            row += sides[c * count : (c + 1) * count]
-    return lhs, _run_sums(pi[:, 0] * a * dp, n * n)
+    for _ in range(tmax):
+        at = np.matmul(at, a)
+        for row, side in zip(lhs, _run_sums(pi * at * dp, n * n)):
+            row.append(side)
+    return lhs, _run_sums(pi * a * dp, n * n)
 
 
 def markov_type_sides(
@@ -246,7 +240,8 @@ def _campaign_sides(chains: int, max_states: int, tmax: int, seed: int):
 
     Chains and points are drawn a window at a time, in the order of one
     stream; a window's chains of equal state count are one stack of
-    _stacked_sides. A window's dense arrays fill at most one stack, and it
+    _stacked_sides. Each of a window's m x n x n arrays holds at most
+    _STACK_ENTRIES entries, unless one chain is already past it, and a window
     holds at most _WINDOW_CHAINS chains, so memory does not grow with chains.
     """
     rng = np.random.default_rng(seed)
@@ -470,8 +465,6 @@ def delayed_walk_replay(
     at_pairs = at.ravel()[pairs].astype(float)  # float32 widens to float64 exactly
     del at  # the replay's only n x n arrays are the power's
     i, j = np.divmod(pairs, n)
-    a_pairs = np.zeros(pairs.size)
-    a_pairs[np.searchsorted(pairs, keys)] = chain.values
     host_dist = host.distances(vertices, i, j)
     diff = points[i] - points[j]
     emb_dist = np.sqrt(np.einsum("kd,kd->k", diff, diff))
@@ -539,7 +532,7 @@ def delayed_walk_replay(
     chain_lower = len(core) / n * free_term
 
     markov_lhs = _weighted_sum(pair_weight, emb_p)
-    markov_rhs = t * _weighted_sum(pi[i] * a_pairs, emb_p)
+    markov_rhs = t * _weighted_sum(pi[chain.rows] * chain.values, emb_p[np.searchsorted(pairs, keys)])
     upper = float(t)  # K^p t with K = 1
 
     if abs(restricted_avg - chain_lower) > CHECK_TOL * max(1.0, abs(chain_lower)):

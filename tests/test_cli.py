@@ -777,11 +777,15 @@ class TestPipeline:
             assert margin >= 0
 
 
-def fresh_python(*args):
-    """A fresh interpreter, with this checkout's wreathlab first on its path."""
+def fresh_python(*args, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter, with this checkout's wreathlab first on its path
+    and env's variables set."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, **env, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60
+    )
 
 
 def test_cli_import_loads_no_scipy():
@@ -799,6 +803,21 @@ def test_module_runs_as_the_cli():
     result = fresh_python("-m", "wreathlab.cli", "bound")
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == "error: bound requires --beta or --iterated-k\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # a pipe whose read end is closed: buffered, the output fails at the last
+    # flush; unbuffered (a nonempty PYTHONUNBUFFERED), at the command's print
+    for unbuffered in ("", "1"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            args = ("-m", "wreathlab.cli", "embed", "norms")
+            result = fresh_python(*args, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr and "BrokenPipeError" not in result.stderr
 
 
 def _flag_table(parser, path=()):

@@ -202,10 +202,10 @@ class TestTypeInequality:
 
     @pytest.mark.parametrize("entries", [200, 4])
     def test_stack_boundaries_keep_every_side(self, monkeypatch, entries):
-        # 60 chains of up to 3 states to t = 16: at 200 entries a stack holds a
-        # window of 22 chains, so each state count's chains fall in several
-        # stacks, and a stack holds 200 // (m n^2) < 16 powers of m >= 2 chains;
-        # at 4 entries every chain is its own stack of one power at a time
+        # 60 chains of up to 3 states to t = 16: at 200 entries a window holds
+        # 22 chains, so each state count's chains fall in several stacks, and
+        # some stack of m >= 2 chains is too large for 16 of its powers to fit
+        # in 200 entries; at 4 entries every chain is its own stack
         want_report = markov.markov_type_campaign(60, 3, 16, seed=5)
         want = [(chain.n, *markov.markov_type_sides(chain, points, 2.0, 16))
                 for chain, points in campaign_draws(60, 3, 5)]
