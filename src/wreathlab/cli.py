@@ -8,7 +8,8 @@ identical config and seed reproduce byte-identical CSV bodies.
 
 Parameter precedence: explicit flags, then a plain key=value --config file,
 then the WREATH_SEED environment variable (seed only), then defaults. A seed
-must lie in [0, 2^64), from whichever source.
+must lie in [0, 2^64), from whichever source. A --config key outside OPTIONS
+is refused, though one that another command reads is accepted.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in OPTIONS:
+                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(OPTIONS)}")
+            out[key] = value
     return out
 
 
@@ -212,8 +215,7 @@ def _cmd_metric(ns) -> int:
     witness = metric.distance(a, b)
     payload = _fields(witness)
     if ns.oracle:
-        max_radius = ns.max_radius if ns.max_radius is not None else witness.total
-        oracle = metric.distance_bfs(a, b, max_radius)
+        oracle = metric.distance_bfs(a, b, witness.total)
         payload["oracle"] = oracle
         if oracle != witness.total:
             _print_json(payload)
@@ -521,7 +523,6 @@ def build_parser() -> _Parser:
     p_metric.add_argument("--a", required=True, help="element encoding, e.g. '2; -1:3, 4:-2'")
     p_metric.add_argument("--b", required=True)
     p_metric.add_argument("--oracle", action="store_true", help="cross-check against search")
-    p_metric.add_argument("--max-radius", type=int, dest="max_radius")
     p_metric.set_defaults(func=_cmd_metric)
 
     p_walk = sub.add_parser("walk", help="displacement samples and exponent fit")

@@ -1,22 +1,21 @@
 """Host Cayley graphs for the finite-chain experiments.
 
 Each host exposes uniform-degree adjacency, an exact graph metric, and a
-deterministic vertex ordering. The line and the grid use their closed-form
-metrics; the wreath host delegates to the exact word metric, so none of the
-chain constructions ever needs a graph search for distances. Besides the
-scalar distance(u, v), each host takes distances(vertices, i, j): the int64
-distances from vertices[i[m]] to vertices[j[m]] for every m, in one array pass,
-each distance's value; a set is refused where a bound on the pass's values,
-from the spans (max - min) of its coordinates, passes int64.
-Besides neighbors(v), each host takes neighbor_index(vertices): the
-(n, degree) int64 index in vertices of each vertex's neighbors, in neighbors'
-order, -1 for a neighbor outside, in one array pass: each host writes its
-vertices as the rows of one int64 table (the wreath's from _wreath_rows, as in
-distances) and names the column and sign of each generator's step, and
-_neighbor_index keys rows by their bytes, refuses duplicates and finds each
-step with argsort and searchsorted. A coordinate outside int64 is refused; a
-step past either end of int64 is in no vertex set.
-union_of_balls runs metric.breadth_first over any host's neighbors.
+deterministic vertex ordering. The line and the grid share one L1 lattice base,
+_Lattice; the wreath host delegates to the exact word metric, so no chain
+construction needs a graph search for distances. Besides the scalar
+distance(u, v), each host takes distances(vertices, i, j): the int64 distances
+from vertices[i[m]] to vertices[j[m]] for every m, in one array pass, each
+distance's value; a set is refused where a bound on the pass's values, from the
+spans (max - min) of its coordinates, passes int64. Besides neighbors(v), each
+host takes neighbor_index(vertices): the (n, degree) int64 index in vertices of
+each vertex's neighbors, in neighbors' order, -1 for a neighbor outside, in one
+array pass: each host writes its vertices as the rows of one int64 table (a
+lattice's coordinates, the wreath's from _wreath_rows) and names the column and
+sign of each generator's step, and _neighbor_index keys rows by their bytes,
+refuses duplicates and finds each step with argsort and searchsorted. A
+coordinate outside int64 is refused; a step past either end of int64 is in no
+vertex set. union_of_balls runs metric.breadth_first over any host's neighbors.
 """
 
 from __future__ import annotations
@@ -41,7 +40,25 @@ __all__ = [
 ]
 
 
-class ZLine:
+class _Lattice:
+    """Z^dim with unit steps along each axis and the L1 metric; a vertex is one int64 row."""
+
+    dim = 1
+
+    def distances(self, vertices: Sequence, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        x = _int64(vertices).reshape(-1, self.dim)
+        _check_span(sum(_span(column) for column in x.T))
+        return np.abs(x[i] - x[j]).sum(axis=1)
+
+    def neighbor_index(self, vertices: Sequence) -> np.ndarray:
+        moves = [(axis, sign) for axis in range(self.dim) for sign in (-1, 1)]
+        return _neighbor_index(_int64(vertices).reshape(-1, self.dim), moves)
+
+    def sort_key(self, v):
+        return v
+
+
+class ZLine(_Lattice):
     """The integers with steps of one."""
 
     degree = 2
@@ -52,22 +69,12 @@ class ZLine:
     def distance(self, u: int, v: int) -> int:
         return abs(u - v)
 
-    def distances(self, vertices: Sequence[int], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        x = _int64(vertices)
-        _check_span(_span(x))
-        return np.abs(x[i] - x[j])
 
-    def neighbor_index(self, vertices: Sequence[int]) -> np.ndarray:
-        return _neighbor_index(_int64(vertices).reshape(-1, 1), [(0, -1), (0, 1)])
-
-    def sort_key(self, v: int):
-        return v
-
-
-class ZGrid:
+class ZGrid(_Lattice):
     """The square grid: two independent integer coordinates, L1 metric."""
 
     degree = 4
+    dim = 2
 
     def neighbors(self, v: tuple[int, int]) -> list[tuple[int, int]]:
         x, y = v
@@ -75,17 +82,6 @@ class ZGrid:
 
     def distance(self, u: tuple[int, int], v: tuple[int, int]) -> int:
         return abs(u[0] - v[0]) + abs(u[1] - v[1])
-
-    def distances(self, vertices: Sequence[tuple[int, int]], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        xy = _int64(vertices).reshape(-1, 2)
-        _check_span(_span(xy[:, 0]) + _span(xy[:, 1]))
-        return np.abs(xy[i] - xy[j]).sum(axis=1)
-
-    def neighbor_index(self, vertices: Sequence[tuple[int, int]]) -> np.ndarray:
-        return _neighbor_index(_int64(vertices).reshape(-1, 2), [(0, -1), (0, 1), (1, -1), (1, 1)])
-
-    def sort_key(self, v: tuple[int, int]):
-        return v
 
 
 class WreathCayley:

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError, check_physical_memory
+from .errors import InvariantViolation, ResourceLimitError, ValidationError, check_physical_memory
 
 __all__ = [
     "FiniteChain",
@@ -587,6 +587,8 @@ def iterated_wreath_table(k_max: int) -> list[tuple[int, Fraction, Fraction]]:
     1 - 2^{-k} the displacement exponent of the k-fold iterated construction."""
     if k_max < 1:
         raise ValidationError("k must be >= 1")
+    if k_max > 14_284:  # the last k whose 2^k prints within Python's default 4,300 digits
+        raise ResourceLimitError("k must be <= 14284: past it, 2^k prints in more than 4300 digits")
     betas = (Fraction(2**k - 1, 2**k) for k in range(1, k_max + 1))
     return [(k, beta, alpha_upper(beta)) for k, beta in enumerate(betas, start=1)]
 

@@ -119,6 +119,14 @@ class TestBoundCommand:
         code, out, err = run_cli(capsys, "bound", "--iterated-k", k)
         assert (code, out, err) == (1, "", "error: k must be >= 1\n")
 
+    def test_iterated_table_refuses_k_past_the_print_cap_at_once(self, capsys):
+        # 2^15000 has more digits than an int's str may print; no row is built or printed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bound", "--iterated-k", "15000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "resource limit: k must be <= 14284: past it, 2^k prints in more than 4300 digits\n"
+
     def test_requires_an_argument(self, capsys):
         code, _, _ = run_cli(capsys, "bound")
         assert code == 1
@@ -296,6 +304,22 @@ class TestConfigPrecedence:
         cfg = self.write_config(tmp_path, "no equals sign here\n")
         code, _, err = run_cli(capsys, "--config", cfg, "bound", "--beta", "0.75")
         assert code == 1
+
+    @pytest.mark.parametrize("line", ["max-states = 2", "trails = 3"])
+    def test_config_key_that_names_no_option_is_refused(self, capsys, tmp_path, line):
+        cfg = self.write_config(tmp_path, f"# comment\n{line}\n")
+        code, out, err = run_cli(capsys, "--config", cfg, "walk", "--group", "z", "--out", str(tmp_path / "w"))
+        key = line.split(" =")[0]
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:2: unknown key {key!r}; expected one of {sorted(cli.OPTIONS)}\n"
+        assert os.listdir(tmp_path) == ["cfg.txt"]
+
+    def test_config_key_of_another_command_is_accepted(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, "chains = 3\nseed = 4\n")
+        code, out, _ = run_cli(
+            capsys, "--config", cfg, "walk", "--group", "z", "--tmax", "256", "--out", str(tmp_path / "w"),
+        )
+        assert (code, read_json(out)["seed"]) == (0, 4)
 
     def test_config_value_that_does_not_parse(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "trials = many\n")
@@ -842,7 +866,6 @@ class TestParserFlags:
         ("metric", ("--a",), "a", None, None, True, None),
         ("metric", ("--b",), "b", None, None, True, None),
         ("metric", ("--oracle",), "oracle", None, False, False, None),
-        ("metric", ("--max-radius",), "max_radius", int, None, False, None),
         ("walk", ("--group",), "group", None, None, True, ("z", "zwrz")),
         ("walk", ("--tmax",), "tmax", int, None, False, None),
         ("walk", ("--trials",), "trials", int, None, False, None),

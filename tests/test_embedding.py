@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 
 from wreathlab import embedding as emb, metric, walk
-from wreathlab.errors import EstimationError, ValidationError
+from wreathlab.errors import EstimationError, ResourceLimitError, ValidationError
 from wreathlab.group import IDENTITY, GroupElement, LampConfig, element_from_text, inverse, multiply
 
 from oracles import embedding_image
@@ -131,6 +131,11 @@ class TestTailSeries:
     def test_requires_small_ratio(self):
         with pytest.raises(ValidationError):
             emb.shifted_power_tail(5, 10, ALPHA, 1e-9)
+
+    def test_refuses_past_the_order_cap(self, monkeypatch):
+        monkeypatch.setattr(emb, "SERIES_MAX_ORDER", 2)
+        with pytest.raises(ResourceLimitError, match="^tail series did not certify within the order cap$"):
+            emb.shifted_power_tail.__wrapped__(1, 4, ALPHA, 1e-12)  # past the cache
 
     def test_remainder_below_tolerance(self):
         for tol in (1e-6, 1e-9, 1e-12):
@@ -513,6 +518,14 @@ class TestScan:
         # ratio keeps climbing on this family
         assert ratios[-1] > 2 * ratios[0]
         assert ratios[-1] > ratios[len(ratios) // 2] > ratios[0]
+
+    @pytest.mark.parametrize("family, match", [
+        (lambda: emb.pure_cursor_family(0), "^k_max must be >= 1$"),
+        (lambda: emb.pure_lamp_family(-1, 1), "^spread must be >= 0 and max_mass >= 1$"),
+    ])
+    def test_families_refuse_empty_ranges(self, family, match):
+        with pytest.raises(ValidationError, match=match):
+            family()
 
     def test_balanced_family_distances_exact(self):
         for prefactor in (1, 4):

@@ -160,6 +160,11 @@ class TestEncoding:
             decode(b"12")
         assert err.value.offset == 2
 
+    def test_rejects_invalid_utf8_at_its_offset(self):
+        with pytest.raises(EncodingError, match=r"^invalid UTF-8 \(byte offset 0\)$") as err:
+            decode(b"\xff;")
+        assert err.value.offset == 0
+
     def test_rejects_garbage_with_offset(self):
         with pytest.raises(EncodingError) as err:
             decode(b"0; 1:x")

@@ -929,3 +929,39 @@ class TestBoundCalculator:
     def test_compression_bound_rejects_bad_delta_or_t(self, delta, t):
         with pytest.raises(ValidationError):
             markov.compression_bound(delta, t)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: hosts.host_by_name("q"), r"^unknown host 'q'; expected one of \['z', 'z2', 'zwrz'\]$"),
+    (lambda: hosts.interval(1, 0), "^empty interval$"),
+    (lambda: hosts.box(0, -1, 0, 0), "^empty box$"),
+    (lambda: hosts.wreath_truncation(-1, 0, 0), "^truncation bounds must be nonnegative$"),
+])
+def test_host_lookup_and_sets_refuse_bad_input(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
+def _two_state_chain(pi):
+    return markov.FiniteChain.from_dense((0, 1), np.asarray(pi), np.full((2, 2), 0.5))
+
+
+def _line_replay(core, t, emb, rho):
+    return markov.delayed_walk_replay(hosts.ZLine(), core, t, emb, rho)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: markov.random_reversible_chain(0, 1), "^n must be >= 1$"),
+    (lambda: markov.markov_type_campaign(0, 10, 64, 0), "^chains must be >= 1$"),
+    (lambda: markov.markov_type_campaign(1, 0, 64, 0), "^max_states must be >= 1$"),
+    (lambda: markov.markov_type_campaign(1, 10, 0, 0), "^tmax must be >= 1$"),
+    (lambda: markov.chain_residuals(_two_state_chain([1.0])), "^shape mismatch between states, pi, and a$"),
+    (lambda: markov.chain_residuals(_two_state_chain([1.5, -0.5])), "^negative probabilities$"),
+    (lambda: _line_replay([0], -1, lambda v: (float(v),), None), "^t must be nonnegative$"),
+    (lambda: _line_replay([0, 1], 1, lambda v: (math.nan,), None), "^points must be finite$"),
+    (lambda: _line_replay([0, 1], 1, lambda v: (float(v),), lambda s: 1 / (1 + s)),
+     "^rho is not nondecreasing at argument 1$"),
+])
+def test_chain_inputs_are_refused(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wreathlab import hosts, metric
-from wreathlab.errors import RadiusExceededError, ResourceLimitError
+from wreathlab.errors import RadiusExceededError, ResourceLimitError, ValidationError
 from wreathlab.group import IDENTITY, element_from_text, inverse, multiply
 
 from test_group import random_element
@@ -106,6 +106,10 @@ class TestSearchOracle:
         with pytest.raises(RadiusExceededError):
             metric.distance_bfs(IDENTITY, element_from_text("0; 2:3"), 6)
 
+    def test_negative_radius(self):
+        with pytest.raises(ValidationError, match="^max_radius must be nonnegative$"):
+            metric.distance_bfs(IDENTITY, IDENTITY, -1)
+
 
 class TestBall:
     def test_radius_zero(self):
@@ -157,6 +161,15 @@ class TestBall:
         monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 52)
         with pytest.raises(ResourceLimitError):
             metric.ball(3)
+
+    def test_search_refuses_a_negative_radius(self):
+        with pytest.raises(ValidationError, match="^radius must be nonnegative$"):
+            metric.breadth_first([IDENTITY], metric.neighbors, -1)
+
+    def test_search_stops_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(metric, "DEFAULT_BALL_CAP", 10)
+        with pytest.raises(ResourceLimitError, match="^breadth-first search exceeded cap 10$"):
+            metric.breadth_first([IDENTITY], metric.neighbors, 3)
 
     def test_oracle_reads_the_cap_at_call_time(self, monkeypatch):
         target = element_from_text("3;")

@@ -152,6 +152,8 @@ class TestSimulate:
             walk.simulate("z", (2, 4), 0, 0)
         with pytest.raises(ValidationError):
             walk.simulate("heisenberg", (2, 4), 10, 0)
+        with pytest.raises(ValidationError, match="^at least one time required$"):
+            walk.simulate("z", (), 10, 0)
 
 
 def _fork_spy(monkeypatch):
@@ -288,6 +290,10 @@ class TestEstimateBeta:
         for t, med in zip(zwrz_sample.times, medians):
             assert t**0.7 < med < t**0.8, (t, med)
 
+    def test_unknown_statistic(self, z_sample):
+        with pytest.raises(ValidationError, match="^statistic must be 'mean' or 'median'$"):
+            walk.estimate_beta(z_sample, statistic="mode")
+
     def test_needs_enough_positive_times(self):
         times = (1, 2, 4)
         displacements = np.ones((5, 3), dtype=np.int64)
@@ -364,6 +370,11 @@ class TestRuleConstant:
     def test_reference_must_be_on_grid(self, zwrz_sample):
         with pytest.raises(ValidationError):
             walk.median_rule_constant(zwrz_sample, 0.75, reference_time=1000)
+
+    def test_zero_median_at_the_reference_time(self):
+        sample = walk.simulate("z", (0, 4), 4, 0)
+        with pytest.raises(EstimationError, match="^median displacement at the reference time is zero$"):
+            walk.median_rule_constant(sample, 0.5, reference_time=0)
 
     def test_exceedance_stays_high_for_rule_constant(self, zwrz_sample):
         c = walk.median_rule_constant(zwrz_sample, 0.75)
