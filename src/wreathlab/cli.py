@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 validation or usage error or standard output closed
 early, 2 a mathematical invariant was observed to fail (the test-facing
 signal), 3 resource limit. Every file output lands under --out together with a
-manifest carrying the exact config, the seed, and a checksum per artifact;
-identical config and seed reproduce byte-identical CSV bodies.
+manifest carrying the exact config, the seed, a checksum per artifact and the
+seconds of each stage; identical config and seed reproduce byte-identical CSV
+bodies.
 
 Parameter precedence: explicit flags, then a plain key=value --config file,
-then the WREATH_SEED environment variable (seed only), then defaults. A seed
-must lie in [0, 2^64), from whichever source. A --config key outside OPTIONS
-is refused, though one that another command reads is accepted.
+then the WREATH_SEED environment variable (seed only), then the command's
+default (OPTIONS's, but 64 for the tmax of markov verify). A seed must lie
+in [0, 2^64), from whichever source. A --config key outside OPTIONS is
+refused, though one that another command reads is accepted.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ OPTIONS = {
     "t": (int, 2),
     "out": (str, "./out"),
 }
+
+# group -> exponent of its walk's tail calibration: t^(1/2) on Z, t^(3/4) on Z wr Z
+_TAIL_BETA = {"z": 0.5, "zwrz": 0.75}
 
 # --host -> (host name, subset builder, spec format) of the markov subcommands
 _SUBSETS = {
@@ -80,9 +85,9 @@ def _load_config(path: Optional[str]) -> dict[str, str]:
     return out
 
 
-def _resolve(ns, config: dict[str, str], name: str):
+def _resolve(ns, config: dict[str, str], name: str, default):
     value = getattr(ns, name)
-    cast, default = OPTIONS[name]
+    cast = OPTIONS[name][0]
     if value is None and name in config:
         try:
             value = cast(config[name])
@@ -105,7 +110,8 @@ def _float_cell(x: float) -> str:
 
 
 class _OutputSink:
-    """Collects named text artifacts, then writes them plus the manifest.
+    """Collects named text artifacts, then writes them, the summary JSON and
+    the manifest, and prints the summary, in one finish call.
 
     Each command builds its sink before doing any work, so the manifest's
     wallClockSeconds covers the whole command, not just the file writes. The
@@ -136,7 +142,9 @@ class _OutputSink:
         finally:
             self.stages[name] = self.stages.get(name, 0.0) + time.monotonic() - start
 
-    def flush(self) -> None:
+    def finish(self, summary_name: str, summary: dict) -> int:
+        """Add the summary JSON, write every file and the manifest, print the summary."""
+        self.add(summary_name, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         checksums = {}
         with self.stage("write"):
             os.makedirs(self.out_dir, exist_ok=True)
@@ -162,6 +170,8 @@ class _OutputSink:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, os.path.join(self.out_dir, "run_manifest.json"))
+        _print_json(summary)
+        return 0
 
 
 def _walk_csv(sample: walk.WalkSample) -> str:
@@ -238,11 +248,22 @@ def _mean_fit_or_none(sample: walk.WalkSample) -> Optional[float]:
         return None
 
 
-def _calibrated_tail(sample: walk.WalkSample, beta: float) -> tuple[int, float, walk.TailEstimate]:
-    """(reference time, median-rule constant, tail estimate) at exponent beta."""
-    reference = 1024 if 1024 in sample.times else sample.times[len(sample.times) // 2]
-    c = walk.median_rule_constant(sample, beta, reference_time=reference)
-    return reference, c, walk.estimate_tail(sample, c, beta)
+def _walk_stage(sink: _OutputSink, group: str, times, trials: int, seed: int):
+    """Simulate, fit and calibrate the tail at the group's exponent, timed in the
+    sink with both walk CSVs: (sample, fit, reference time, constant, tail)."""
+    with sink.stage("simulate"):
+        sample = walk.simulate(group, times, trials, seed)
+    sink.counters["walkSteps"] = sample.trials * sample.times[-1]
+    with sink.stage("fit"):
+        fit = walk.estimate_beta(sample)
+        beta = _TAIL_BETA[group]
+        reference = 1024 if 1024 in sample.times else sample.times[len(sample.times) // 2]
+        c = walk.median_rule_constant(sample, beta, reference_time=reference)
+        tail = walk.estimate_tail(sample, c, beta)
+    with sink.stage("write"):
+        sink.add("walk_samples.csv", _walk_csv(sample))
+        sink.add("walk_tail.csv", _tail_csv(tail))
+    return sample, fit, reference, c, tail
 
 
 def _cmd_walk(ns) -> int:
@@ -256,11 +277,7 @@ def _cmd_walk(ns) -> int:
         times = _default_times(tmax)
     snapshot = {"group": group, "trials": trials, "tmax": tmax, "times": list(times)}
     sink = _OutputSink(ns.out, "walk", snapshot, seed)
-    sample = walk.simulate(group, times, trials, seed)
-    fit = walk.estimate_beta(sample)
-    fit_median = walk.estimate_beta(sample, statistic="median")
-    calibration_beta = 0.75 if group == "zwrz" else 0.5
-    reference, c, tail = _calibrated_tail(sample, calibration_beta)
+    sample, fit, reference, c, tail = _walk_stage(sink, group, times, trials, seed)
     summary = {
         **_fields(fit, "stderr"),
         "group": group,
@@ -268,29 +285,24 @@ def _cmd_walk(ns) -> int:
         "trials": trials,
         "times": list(sample.times),
         "betaCI": [fit.beta_hat - 2 * fit.stderr, fit.beta_hat + 2 * fit.stderr],
-        "medianBetaHat": fit_median.beta_hat,
         "tailConstant": c,
-        "tailBeta": calibration_beta,
+        "tailBeta": _TAIL_BETA[group],
         "referenceTime": reference,
         "deltaHat": {str(t): tail.delta_hat[t] for t in sample.times},
         "deltaStderr": {str(t): tail.standard_errors[t] for t in sample.times},
     }
-    if sample.lamp_mass is not None:
-        for key, part in zip(("lampMass", "travel"), sample.split()):
-            means = part.mean_displacement()
-            summary[f"{key}Mean"] = {str(t): float(m) for t, m in zip(sample.times, means)}
-            summary[f"{key}BetaHat"] = _mean_fit_or_none(part)
-    sink.add("walk_samples.csv", _walk_csv(sample))
-    sink.add("walk_tail.csv", _tail_csv(tail))
-    sink.add("walk_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    sink.flush()
-    _print_json(summary)
-    return 0
+    with sink.stage("fit"):
+        summary["medianBetaHat"] = walk.estimate_beta(sample, statistic="median").beta_hat
+        if sample.lamp_mass is not None:
+            for key, part in zip(("lampMass", "travel"), sample.split()):
+                means = part.mean_displacement()
+                summary[f"{key}Mean"] = {str(t): float(m) for t, m in zip(sample.times, means)}
+                summary[f"{key}BetaHat"] = _mean_fit_or_none(part)
+    return sink.finish("walk_summary.json", summary)
 
 
 def _cmd_markov_verify(ns) -> int:
-    tmax = ns.tmax if ns.tmax is not None else 64
-    report = markov.markov_type_campaign(ns.chains, ns.max_states, tmax, ns.seed)
+    report = markov.markov_type_campaign(ns.chains, ns.max_states, ns.tmax, ns.seed)
     _print_json(report)
     if not report["pass"]:
         raise InvariantViolation(
@@ -411,10 +423,7 @@ def _cmd_embed_scan(ns) -> int:
         "lowerShapeExponent": embedding.lower_shape_exponent(alpha),
     }
     sink.add("compression_observations.csv", _compression_csv(report))
-    sink.add("compression_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    sink.flush()
-    _print_json(summary)
-    return 0
+    return sink.finish("compression_summary.json", summary)
 
 
 def _cmd_bound(ns) -> int:
@@ -441,15 +450,9 @@ def _cmd_pipeline(ns) -> int:
     snapshot = {"alpha": alpha, "eps": eps, "trials": trials, "tmax": tmax}
     sink = _OutputSink(ns.out, "pipeline", snapshot, seed)
 
-    times = _default_times(tmax)
-    with sink.stage("simulate"):
-        sample = walk.simulate("zwrz", times, trials, seed)
-    sink.counters["walkSteps"] = sample.trials * sample.times[-1]
-    with sink.stage("fit"):
-        fit = walk.estimate_beta(sample)
-        _, c, tail = _calibrated_tail(sample, 0.75)
-        tested = [t for t in sample.times if 64 <= t <= 4096]
-        delta_min = min(tail.delta_hat[t] for t in tested)
+    sample, fit, _, c, tail = _walk_stage(sink, "zwrz", _default_times(tmax), trials, seed)
+    tested = [t for t in sample.times if 64 <= t <= 4096]
+    delta_min = min(tail.delta_hat[t] for t in tested)
     if delta_min <= 0:
         raise InvariantViolation("empirical tail probability vanished on the tested grid")
 
@@ -465,6 +468,8 @@ def _cmd_pipeline(ns) -> int:
         rho_hat = markov.empirical_modulus(
             [d for d, _, _ in observations], [v for _, v, _ in observations]
         )
+    with sink.stage("write"):
+        sink.add("compression_observations.csv", _compression_csv(scan))
 
     checks = []
     with sink.stage("checks"):
@@ -488,30 +493,25 @@ def _cmd_pipeline(ns) -> int:
         "betaHat": fit.beta_hat,
         "tailConstant": c,
         "deltaMin": delta_min,
-        "alphaUpperAtCalibration": float(markov.alpha_upper(Fraction(3, 4))),
+        "alphaUpperAtCalibration": float(markov.alpha_upper(_TAIL_BETA["zwrz"])),
         "alphaUpperAtFittedBeta": float(markov.alpha_upper(min(1.0, fit.beta_hat))),
         "checks": checks,
         "pass": True,
     }
-    with sink.stage("write"):
-        sink.add("walk_samples.csv", _walk_csv(sample))
-        sink.add("walk_tail.csv", _tail_csv(tail))
-        sink.add("compression_observations.csv", _compression_csv(scan))
-        sink.add("pipeline_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    sink.flush()
-    _print_json(summary)
-    return 0
+    return sink.finish("pipeline_summary.json", summary)
 
 
 # ------------------------------------------------------------------- parsing
 
 
-def _add_options(parser: _Parser, *names: str) -> None:
-    """Flags for table options; run resolves each before the command runs."""
+def _add_options(parser: _Parser, *names: str, **defaults) -> None:
+    """Flags for table options, at OPTIONS's defaults less those the command
+    gives its own; run resolves each before the command runs."""
+    options = dict(parser.get_default("options") or {})
     for name in names:
-        cast = OPTIONS[name][0]
+        cast, options[name] = OPTIONS[name][0], defaults.get(name, OPTIONS[name][1])
         parser.add_argument(f"--{name.replace('_', '-')}", type=None if cast is str else cast)
-    parser.set_defaults(options=(parser.get_default("options") or ()) + names)
+    parser.set_defaults(options=options)
 
 
 def build_parser() -> _Parser:
@@ -536,9 +536,7 @@ def build_parser() -> _Parser:
     markov_sub = p_markov.add_subparsers(dest="markov_command", parser_class=_Parser)
 
     p_verify = markov_sub.add_parser("verify", help="random reversible-chain campaign")
-    _add_options(p_verify, "chains", "max_states")
-    p_verify.add_argument("--tmax", type=int)  # its own default, not read from --config
-    _add_options(p_verify, "seed")
+    _add_options(p_verify, "chains", "max_states", "tmax", "seed", tmax=64)
     p_verify.set_defaults(func=_cmd_markov_verify)
 
     p_delayed = markov_sub.add_parser("delayed", help="build and validate a subset walk")
@@ -598,8 +596,8 @@ def run(argv=None) -> int:
         return 1
     try:
         config = _load_config(ns.config)
-        for name in getattr(ns, "options", ()):
-            setattr(ns, name, _resolve(ns, config, name))
+        for name, default in getattr(ns, "options", {}).items():
+            setattr(ns, name, _resolve(ns, config, name, default))
         result = ns.func(ns)
         return 0 if result is None else result
     except InvariantViolation as exc:

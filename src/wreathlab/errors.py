@@ -1,7 +1,9 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy and memory guards shared by every module.
 
 The CLI maps these onto exit codes: ValidationError (and subclasses) -> 1,
-InvariantViolation -> 2, ResourceLimitError -> 3.
+InvariantViolation -> 2, ResourceLimitError -> 3. check_physical_memory refuses
+an allocation past physical memory or the cgroup's limit, and check_dense_chain,
+which hosts and markov both call, a chain whose n x n arrays would pass it.
 """
 
 import codecs
@@ -143,3 +145,15 @@ def check_physical_memory(needed: int, what: str) -> None:
             f"{what} need about {needed / 2**30:.1f} GiB, "
             f"more than the {available / 2**30:.1f} GiB {source}"
         )
+
+
+# n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
+# of the matrix power. An upper bound: every one of them is float32 wherever
+# that holds a^t exactly
+_DENSE_ARRAYS = 4
+
+
+def check_dense_chain(n: int) -> None:
+    """Refuse, before anything is built, n states whose dense chain would not
+    fit in physical memory."""
+    check_physical_memory(_DENSE_ARRAYS * 8 * n * n, f"the dense n x n arrays of {n} states")

@@ -24,8 +24,8 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from . import markov, metric
-from .errors import ResourceLimitError, ValidationError
+from . import metric
+from .errors import ResourceLimitError, ValidationError, check_dense_chain
 from .group import GroupElement, LampConfig, encode
 
 __all__ = [
@@ -182,7 +182,7 @@ def _check_count(count: int, what: str) -> None:
     one whose dense chain cannot fit."""
     if count > metric.DEFAULT_BALL_CAP:
         raise ResourceLimitError(f"{what} would have more than {metric.DEFAULT_BALL_CAP} elements, the cap")
-    markov.check_dense_chain(count)
+    check_dense_chain(count)
 
 
 def interval(lo: int, hi: int) -> list[int]:

@@ -32,12 +32,12 @@ pi a are exact, each residual rounded once. Three jobs live here:
   The replay then sums over every ordered pair the chain can couple, in
   row-major order (the nonzeros of a^t united with those of a): these are
   the nonzero terms of the dense n x n sums, so each fsum is theirs bit for
-  bit, and no symmetry of a or a^t is assumed. One guard, check_dense_chain,
-  refuses n states whose dense n x n arrays would not fit in physical
-  memory; delayed_walk calls it, the replay calls it on the core before it
-  fattens it, the hosts' set builders call it before they build a set at
-  all, and the random-chain campaign calls it on max_states before its first
-  chain.
+  bit, and no symmetry of a or a^t is assumed. One guard,
+  errors.check_dense_chain, refuses n states whose dense n x n arrays would
+  not fit in physical memory; delayed_walk calls it, the replay calls it on
+  the core before it fattens it, the hosts' set builders call it before they
+  build a set at all, and the random-chain campaign calls it on max_states
+  before its first chain.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
 bound on the compression exponent, exactly, in rational arithmetic.
@@ -53,14 +53,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, ResourceLimitError, ValidationError, check_physical_memory
+from . import hosts
+from .errors import InvariantViolation, ResourceLimitError, ValidationError, check_dense_chain
 
 __all__ = [
     "FiniteChain",
     "chain_residuals",
     "markov_type_sides",
     "random_reversible_chain",
-    "check_dense_chain",
     "delayed_walk",
     "empirical_modulus",
     "ReplayReport",
@@ -332,18 +332,6 @@ def random_reversible_chain(n: int, seed: int) -> FiniteChain:
     return FiniteChain.from_dense(range(n), pi, a)
 
 
-# n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
-# of the matrix power. An upper bound: every one of them is float32 wherever
-# that holds a^t exactly
-_DENSE_ARRAYS = 4
-
-
-def check_dense_chain(n: int) -> None:
-    """Refuse, before anything is built, n states whose dense chain would not
-    fit in physical memory."""
-    check_physical_memory(_DENSE_ARRAYS * 8 * n * n, f"the dense n x n arrays of {n} states")
-
-
 def delayed_walk(host, subset: Sequence) -> FiniteChain:
     """The delayed standard walk restricted to the subset.
 
@@ -446,8 +434,6 @@ def delayed_walk_replay(
         raise ValidationError(
             f"degree^t = {host.degree}^{t} exceeds 2^53, past which float64 cannot hold a^t exactly"
         )
-    from . import hosts  # hosts imports this module
-
     core = set(core)  # the fattened set holds it, so refuse a core too big before the search
     check_dense_chain(len(core))
     chain = delayed_walk(host, hosts.union_of_balls(host, core, t))

@@ -158,6 +158,9 @@ class TestWalkCommand:
         assert header == "group,t,trial,displacement"
         header = open(os.path.join(out_dir, "walk_tail.csv")).readline().strip()
         assert header == "t,c,beta,deltaHat,stderr"
+        assert set(manifest["stages"]) == {"simulate", "fit", "write"}
+        assert sum(manifest["stages"].values()) <= manifest["wallClockSeconds"]
+        assert manifest["counters"] == {"walkSteps": 25 * 256}
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         args = ("walk", "--group", "zwrz", "--trials", "10", "--tmax", "128", "--seed", "3")
@@ -320,6 +323,14 @@ class TestConfigPrecedence:
             capsys, "--config", cfg, "walk", "--group", "z", "--tmax", "256", "--out", str(tmp_path / "w"),
         )
         assert (code, read_json(out)["seed"]) == (0, 4)
+
+    @pytest.mark.parametrize("config, flags, checks", [
+        ("tmax = 8\n", (), 16), ("tmax = 8\n", ("--tmax", "4"), 8), ("", (), 128),
+    ], ids=["config", "flag-beats-config", "default-64"])
+    def test_verify_reads_tmax_from_config_with_its_own_default(self, capsys, tmp_path, config, flags, checks):
+        cfg = self.write_config(tmp_path, config)
+        code, out, _ = run_cli(capsys, "--config", cfg, "markov", "verify", "--chains", "2", *flags)
+        assert (code, read_json(out)["checks"]) == (0, checks)
 
     def test_config_value_that_does_not_parse(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "trials = many\n")
@@ -799,6 +810,17 @@ class TestPipeline:
         for t, margin in manifest["margins"].items():
             assert margin == checks[t]["bound"] - checks[t]["rhoHat"]
             assert margin >= 0
+
+
+    def test_walk_files_equal_those_of_the_walk_command(self, capsys, tmp_path):
+        args = ("--trials", "20", "--tmax", "1024", "--seed", "5")
+        dirs = {command: str(tmp_path / command) for command in ("pipeline", "walk")}
+        assert cli.run(["pipeline", *args, "--out", dirs["pipeline"]]) == 0
+        assert cli.run(["walk", "--group", "zwrz", *args, "--out", dirs["walk"]]) == 0
+        capsys.readouterr()
+        for name in ("walk_samples.csv", "walk_tail.csv"):
+            bodies = [open(os.path.join(d, name), "rb").read() for d in dirs.values()]
+            assert bodies[0] == bodies[1]
 
 
 def fresh_python(*args, stdout=subprocess.PIPE, **env):
