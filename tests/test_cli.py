@@ -642,6 +642,45 @@ def test_stdout_is_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the stdout and of every body but the manifest (it holds timings)
+# of each file-writing command at a small size; the summary body is its stdout
+FILE_SHA256 = [
+    (("walk", "--group", "z", "--trials", "25", "--tmax", "256", "--seed", "5"), {
+        "stdout": "e89d9ee1a72c12bee8c5b7ea86c9fed21ecb35a0d887fc68ec2e1a51a0e7ca00",
+        "walk_samples.csv": "b60acc4291ca6d62cfa241ba7edb27212d167659216d8cd541d0cdb5e97dc45d",
+        "walk_summary.json": "e89d9ee1a72c12bee8c5b7ea86c9fed21ecb35a0d887fc68ec2e1a51a0e7ca00",
+        "walk_tail.csv": "2510b69aa35dd3c7a0425851ad779d104b214bace6560aee0e5cc6f5d0e6c196",
+    }),
+    (("walk", "--group", "zwrz", "--trials", "25", "--tmax", "256", "--seed", "5"), {
+        "stdout": "df5778f350536ffce5fa111f1c64567775b0e5110cd121c9eb87af4b05d82e5d",
+        "walk_samples.csv": "0f18a41481863440e002a0ac24a1335783a7237f1b9b55b5bc1dafd97c02f739",
+        "walk_summary.json": "df5778f350536ffce5fa111f1c64567775b0e5110cd121c9eb87af4b05d82e5d",
+        "walk_tail.csv": "3a5595e2946e744309c2aad1dfcfe2ed2ae40781bd96cbd33cb514078a464ab9",
+    }),
+    (("embed", "scan", "--sampler", "ball:3", "--count", "20"), {
+        "stdout": "8fda452fcef209dfff6e223eb5286c7d7395cdb1689ae5891c3feb214cb4d3f3",
+        "compression_observations.csv": "12ec9f7eac715e52293797f1347339fbc33daa2cfccfffaad66d2f5bc264e4a1",
+        "compression_summary.json": "8fda452fcef209dfff6e223eb5286c7d7395cdb1689ae5891c3feb214cb4d3f3",
+    }),
+    (("embed", "scan", "--sampler", "balanced:2"), {
+        "stdout": "a043ce889089357df346e534ee1b01be247374f38104f1bf0df972af1a906408",
+        "compression_observations.csv": "f2b9b44c8340f40a7cf83c28502b26c83b715187a2ad29cdee19cc7d28753ee6",
+        "compression_summary.json": "a043ce889089357df346e534ee1b01be247374f38104f1bf0df972af1a906408",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, digests", FILE_SHA256, ids=[" ".join(a) for a, _ in FILE_SHA256])
+def test_file_command_bodies_are_byte_identical(capsys, tmp_path, argv, digests):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    hashes = {"stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    for path in sorted(tmp_path.iterdir()):
+        if path.name != "run_manifest.json":
+            hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert hashes == digests
+
+
 class TestEmbedCommands:
     def test_norms(self, capsys):
         code, out, _ = run_cli(capsys, "embed", "norms", "--alpha", "0.45")
