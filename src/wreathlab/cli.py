@@ -105,8 +105,13 @@ def _resolve(ns, config: dict[str, str], name: str, default):
     return value
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
+def _json(payload: dict) -> str:
+    """The one JSON form of every summary, manifest and printed payload."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _print_json(payload: dict) -> None:
+    sys.stdout.write(_json(payload))
 
 
 class _OutputSink:
@@ -131,8 +136,11 @@ class _OutputSink:
         self.counters: dict[str, int] = {}
         self.margins: dict[int, float] = {}
 
-    def add(self, name: str, body: str) -> None:
-        self.files[name] = body
+    def add_csv(self, name: str, header: str, lines) -> None:
+        """The one CSV writer: the header, then the table's lines, each ended by
+        a newline; timed under write."""
+        with self.stage("write"):
+            self.files[name] = "\n".join([header, *lines]) + "\n"
 
     @contextlib.contextmanager
     def stage(self, name: str):
@@ -144,7 +152,7 @@ class _OutputSink:
 
     def finish(self, summary_name: str, summary: dict) -> int:
         """Add the summary JSON, write every file and the manifest, print the summary."""
-        self.add(summary_name, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        printed = self.files[summary_name] = _json(summary)
         checksums = {}
         with self.stage("write"):
             os.makedirs(self.out_dir, exist_ok=True)
@@ -165,39 +173,18 @@ class _OutputSink:
             "margins": self.margins,
             "outputs": checksums,
         }
-        payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         tmp = os.path.join(self.out_dir, ".run_manifest.json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(_json(manifest))
         os.replace(tmp, os.path.join(self.out_dir, "run_manifest.json"))
-        _print_json(summary)
+        sys.stdout.write(printed)
         return 0
 
 
-def _walk_csv(sample: walk.WalkSample) -> str:
-    lines = ["group,t,trial,displacement"]
-    for trial in range(sample.trials):
-        row = sample.displacements[trial]
-        for column, t in enumerate(sample.times):
-            lines.append(f"{sample.group},{t},{trial},{int(row[column])}")
-    return "\n".join(lines) + "\n"
-
-
-def _tail_csv(estimate: walk.TailEstimate) -> str:
-    lines = ["t,c,beta,deltaHat,stderr"]
-    for t in sorted(estimate.delta_hat):
-        lines.append(
-            f"{t},{_float_cell(estimate.c)},{_float_cell(estimate.beta)},"
-            f"{_float_cell(estimate.delta_hat[t])},{_float_cell(estimate.standard_errors[t])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _compression_csv(report: embedding.CompressionReport) -> str:
-    lines = ["alpha,distance,norm,errorBound"]
-    for d, value, bound in report.observations:
-        lines.append(f"{_float_cell(report.alpha)},{d},{_float_cell(value)},{_float_cell(bound)}")
-    return "\n".join(lines) + "\n"
+def _add_scan_csv(sink: _OutputSink, report: embedding.CompressionReport) -> None:
+    sink.add_csv("compression_observations.csv", "alpha,distance,norm,errorBound", (
+        f"{float(report.alpha)!r},{d},{float(value)!r},{float(bound)!r}" for d, value, bound in report.observations
+    ))
 
 
 def _fields(report, *skip: str) -> dict:
@@ -212,10 +199,6 @@ def _fields(report, *skip: str) -> dict:
     return payload
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -225,14 +208,10 @@ def _cmd_metric(ns) -> int:
     witness = metric.distance(a, b)
     payload = _fields(witness)
     if ns.oracle:
-        oracle = metric.distance_bfs(a, b, witness.total)
-        payload["oracle"] = oracle
-        if oracle != witness.total:
-            _print_json(payload)
-            raise InvariantViolation(
-                f"closed form {witness.total} disagrees with search oracle {oracle}"
-            )
+        payload["oracle"] = metric.distance_bfs(a, b, witness.total)
     _print_json(payload)
+    if ns.oracle and payload["oracle"] != witness.total:
+        raise InvariantViolation(f"closed form {witness.total} disagrees with search oracle {payload['oracle']}")
     return 0
 
 
@@ -248,9 +227,17 @@ def _mean_fit_or_none(sample: walk.WalkSample) -> Optional[float]:
         return None
 
 
-def _walk_stage(sink: _OutputSink, group: str, times, trials: int, seed: int):
+def _walk_stage(sink: _OutputSink, group: str, times, trials: int, seed: int, flag: str):
     """Simulate, fit and calibrate the tail at the group's exponent, timed in the
-    sink with both walk CSVs: (sample, fit, reference time, constant, tail)."""
+    sink with both walk CSVs: (sample, fit, reference time, constant, tail).
+    A grid of fewer than 4 positive times, too few for the fit, is refused before
+    the walk, naming flag; simulate's own refusals, the memory guard's among them,
+    come first."""
+    times, _ = walk._checked_run(group, times, trials)
+    positive = sum(t > 0 for t in times)
+    if positive < 4:
+        need = f", so --tmax >= {walk.DYADIC_TIMES[3]} on the dyadic grid" if flag == "--tmax" else ""
+        raise ValidationError(f"{flag} gives {positive} positive times; the power-law fit needs at least 4{need}")
     with sink.stage("simulate"):
         sample = walk.simulate(group, times, trials, seed)
     sink.counters["walkSteps"] = sample.trials * sample.times[-1]
@@ -260,9 +247,14 @@ def _walk_stage(sink: _OutputSink, group: str, times, trials: int, seed: int):
         reference = 1024 if 1024 in sample.times else sample.times[len(sample.times) // 2]
         c = walk.median_rule_constant(sample, beta, reference_time=reference)
         tail = walk.estimate_tail(sample, c, beta)
-    with sink.stage("write"):
-        sink.add("walk_samples.csv", _walk_csv(sample))
-        sink.add("walk_tail.csv", _tail_csv(tail))
+    sink.add_csv("walk_samples.csv", "group,t,trial,displacement", (
+        f"{group},{t},{trial},{d}"
+        for trial, row in enumerate(sample.displacements.tolist()) for t, d in zip(sample.times, row)
+    ))
+    sink.add_csv("walk_tail.csv", "t,c,beta,deltaHat,stderr", (
+        f"{t},{float(tail.c)!r},{float(tail.beta)!r},{float(delta)!r},{float(tail.standard_errors[t])!r}"
+        for t, delta in sorted(tail.delta_hat.items())
+    ))
     return sample, fit, reference, c, tail
 
 
@@ -277,7 +269,8 @@ def _cmd_walk(ns) -> int:
         times = _default_times(tmax)
     snapshot = {"group": group, "trials": trials, "tmax": tmax, "times": list(times)}
     sink = _OutputSink(ns.out, "walk", snapshot, seed)
-    sample, fit, reference, c, tail = _walk_stage(sink, group, times, trials, seed)
+    flag = "--times" if ns.times else "--tmax"
+    sample, fit, reference, c, tail = _walk_stage(sink, group, times, trials, seed, flag)
     summary = {
         **_fields(fit, "stderr"),
         "group": group,
@@ -422,7 +415,7 @@ def _cmd_embed_scan(ns) -> int:
         "count": len(report.observations),
         "lowerShapeExponent": embedding.lower_shape_exponent(alpha),
     }
-    sink.add("compression_observations.csv", _compression_csv(report))
+    _add_scan_csv(sink, report)
     return sink.finish("compression_summary.json", summary)
 
 
@@ -450,7 +443,7 @@ def _cmd_pipeline(ns) -> int:
     snapshot = {"alpha": alpha, "eps": eps, "trials": trials, "tmax": tmax}
     sink = _OutputSink(ns.out, "pipeline", snapshot, seed)
 
-    sample, fit, _, c, tail = _walk_stage(sink, "zwrz", _default_times(tmax), trials, seed)
+    sample, fit, _, c, tail = _walk_stage(sink, "zwrz", _default_times(tmax), trials, seed, "--tmax")
     tested = [t for t in sample.times if 64 <= t <= 4096]
     delta_min = min(tail.delta_hat[t] for t in tested)
     if delta_min <= 0:
@@ -468,8 +461,7 @@ def _cmd_pipeline(ns) -> int:
         rho_hat = markov.empirical_modulus(
             [d for d, _, _ in observations], [v for _, v, _ in observations]
         )
-    with sink.stage("write"):
-        sink.add("compression_observations.csv", _compression_csv(scan))
+    _add_scan_csv(sink, scan)
 
     checks = []
     with sink.stage("checks"):

@@ -279,12 +279,8 @@ def _run_blocks(args: list[tuple]) -> list[tuple]:
     return [_block(*a) for a in args]
 
 
-def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSample:
-    """Run the uniform-generator walk and record exact displacements.
-
-    times must be strictly increasing and nonnegative; trials >= 1. For
-    "zwrz" the sample also carries the lamp mass of every displacement.
-    """
+def _checked_run(group: str, times: Sequence[int], trials: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """simulate's refusals, all before any draw: (its times as ints, its trial blocks)."""
     if group not in GROUPS:
         raise ValidationError(f"unknown group {group!r}; expected one of {GROUPS}")
     times = tuple(int(t) for t in times)
@@ -302,6 +298,16 @@ def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSa
         len(blocks) * _STEP_ARRAYS * 8 * times[-1] + _ROW_COPIES * arrays * 8 * trials * len(times),
         f"the step arrays and rows of {trials} trials of {times[-1]} steps",
     )
+    return times, blocks
+
+
+def simulate(group: str, times: Sequence[int], trials: int, seed: int) -> WalkSample:
+    """Run the uniform-generator walk and record exact displacements.
+
+    times must be strictly increasing and nonnegative; trials >= 1. For
+    "zwrz" the sample also carries the lamp mass of every displacement.
+    """
+    times, blocks = _checked_run(group, times, trials)
     parts = _run_blocks([(group, seed, lo, hi, times) for lo, hi in blocks])
     rows = np.concatenate([out for out, _ in parts])
     lamp_mass = None if group == "z" else np.concatenate([mass for _, mass in parts])

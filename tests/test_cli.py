@@ -219,6 +219,19 @@ class TestWalkCommand:
         assert code == 1
         assert err.startswith("error:") and "--times" in err
 
+    def test_grid_too_short_for_the_fit_is_refused_before_the_walk(self, capsys, tmp_path, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(cli.walk, "simulate", no_walk)
+        code, out, err = run_cli(
+            capsys, "walk", "--group", "zwrz", "--times", "1,16384", "--trials", "20000",
+            "--out", str(tmp_path / "w"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --times gives 2 positive times; the power-law fit needs at least 4\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("group", ["z", "zwrz"])
     def test_walk_over_physical_memory_exits_3(self, capsys, tmp_path, group):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -850,6 +863,19 @@ class TestPipeline:
             assert margin == checks[t]["bound"] - checks[t]["rhoHat"]
             assert margin >= 0
 
+
+    def test_tmax_too_short_for_the_fit_is_refused_before_the_walk(self, capsys, tmp_path, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(cli.walk, "simulate", no_walk)
+        code, out, err = run_cli(capsys, "pipeline", "--tmax", "64", "--out", str(tmp_path / "p"))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --tmax gives 3 positive times; the power-law fit needs at least 4,"
+            " so --tmax >= 128 on the dyadic grid\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     def test_walk_files_equal_those_of_the_walk_command(self, capsys, tmp_path):
         args = ("--trials", "20", "--tmax", "1024", "--seed", "5")
