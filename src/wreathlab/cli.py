@@ -298,9 +298,7 @@ def _cmd_markov_verify(ns) -> int:
     report = markov.markov_type_campaign(ns.chains, ns.max_states, ns.tmax, ns.seed)
     _print_json(report)
     if not report["pass"]:
-        raise InvariantViolation(
-            f"Markov-type inequality violated by {report['maxViolation']:.3e}"
-        )
+        raise InvariantViolation(f"Markov-type inequality violated by {report['maxViolation']:.3e}")
     return 0
 
 
@@ -320,13 +318,7 @@ def _cmd_markov_delayed(ns) -> int:
     chain = markov.delayed_walk(host, subset)
     residuals = chain.validate()
     _print_json(
-        {
-            "host": ns.host,
-            "states": chain.n,
-            "residuals": residuals,
-            "tolerance": markov.CHAIN_TOL,
-            "pass": True,
-        }
+        {"host": ns.host, "states": chain.n, "residuals": residuals, "tolerance": markov.CHAIN_TOL, "pass": True}
     )
     return 0
 
@@ -366,40 +358,8 @@ def _cmd_embed_pair(ns) -> int:
     a = element_from_text(ns.a)
     b = element_from_text(ns.b)
     value, bound = embedding.embedding_distance(a, b, ns.alpha, ns.eps)
-    witness = metric.distance(a, b)
-    _print_json(
-        {
-            "alpha": ns.alpha,
-            "distance": witness.total,
-            "norm": value,
-            "errorBound": bound,
-        }
-    )
+    _print_json({"alpha": ns.alpha, "distance": metric.distance(a, b).total, "norm": value, "errorBound": bound})
     return 0
-
-
-def _scan_elements(spec: str, alpha: float, count: int, seed: int) -> list[GroupElement]:
-    """The first count elements of the sampler spec. random, cursor and lamp
-    build no more; ball:R and balanced build their whole family first."""
-    head, _, arg = spec.partition(":")
-    if head == "random":
-        return embedding.random_elements(count, seed)
-    try:
-        if head == "ball":
-            family = embedding.ball_elements(int(arg or "4"))
-        elif head == "cursor":
-            family = embedding.pure_cursor_family(min(int(arg or "100"), count))
-        elif head == "lamp":
-            first, _, second = arg.partition(":")
-            family = embedding.pure_lamp_family(int(first or "3"), min(int(second or "50"), count))
-        elif head == "balanced":
-            prefactor = float(arg or "1")
-            family = embedding.balanced_family(alpha, prefactor)
-        else:
-            raise ValidationError(f"unknown sampler {spec!r}")
-    except ValueError:
-        raise ValidationError(f"sampler {spec!r} has a malformed number") from None
-    return family[:count]
 
 
 def _cmd_embed_scan(ns) -> int:
@@ -408,7 +368,7 @@ def _cmd_embed_scan(ns) -> int:
         raise ValidationError("count must be >= 10")
     snapshot = {"alpha": alpha, "eps": eps, "count": count, "sampler": ns.sampler}
     sink = _OutputSink(ns.out, "embed scan", snapshot, ns.seed)
-    elements = _scan_elements(ns.sampler, alpha, count, ns.seed)
+    elements = embedding.sampled_elements(ns.sampler, alpha, count, ns.seed)
     report = embedding.compression_scan(alpha, elements, eps)
     summary = {
         **_fields(report, "observations"),
@@ -443,12 +403,7 @@ def _cmd_pipeline(ns) -> int:
     snapshot = {"alpha": alpha, "eps": eps, "trials": trials, "tmax": tmax}
     sink = _OutputSink(ns.out, "pipeline", snapshot, seed)
 
-    sample, fit, _, c, tail = _walk_stage(sink, "zwrz", _default_times(tmax), trials, seed, "--tmax")
-    tested = [t for t in sample.times if 64 <= t <= 4096]
-    delta_min = min(tail.delta_hat[t] for t in tested)
-    if delta_min <= 0:
-        raise InvariantViolation("empirical tail probability vanished on the tested grid")
-
+    _, fit, _, c, tail = _walk_stage(sink, "zwrz", _default_times(tmax), trials, seed, "--tmax")
     with sink.stage("scan"):
         scan_elements = embedding.ball_elements(6)
         for prefactor in embedding.BALANCED_PREFACTORS:
@@ -456,27 +411,11 @@ def _cmd_pipeline(ns) -> int:
         tail_series = embedding.tail_cache_info().misses
         scan = embedding.compression_scan(alpha, scan_elements, eps)
         sink.counters["tailSeries"] = embedding.tail_cache_info().misses - tail_series
-        observations = scan.observations
-        sink.counters["normsCertified"] = sum(bound <= eps for _, _, bound in observations)
-        rho_hat = markov.empirical_modulus(
-            [d for d, _, _ in observations], [v for _, v, _ in observations]
-        )
+        sink.counters["normsCertified"] = sum(bound <= eps for _, _, bound in scan.observations)
     _add_scan_csv(sink, scan)
-
-    checks = []
     with sink.stage("checks"):
-        for t in tested:
-            threshold = c * t**fit.beta_hat
-            lhs = rho_hat(threshold)
-            rhs = markov.compression_bound(delta_min, t)
-            sink.margins[t] = rhs - lhs
-            checks.append(
-                {"t": t, "threshold": threshold, "rhoHat": lhs, "bound": rhs, "pass": lhs <= rhs}
-            )
-            if lhs > rhs:
-                raise InvariantViolation(
-                    f"compression bound failed at t={t}: rhoHat {lhs} > bound {rhs}"
-                )
+        delta_min, checks = markov.compression_checks(tail, fit.beta_hat, scan.observations)
+    sink.margins.update((row["t"], row["bound"] - row["rhoHat"]) for row in checks)
 
     summary = {
         "alpha": alpha,

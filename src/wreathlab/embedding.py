@@ -40,8 +40,8 @@ restrictions: the element's restriction to [n, inf) is empty, as the
 identity's is, exactly when n is past its last lamp. A window longer than
 metric.DEFAULT_BALL_CAP positions is refused before it is summed.
 compression_scan fits the shape of given elements (a family below, the ball,
-or random_elements) with walk.fit_power_law, and worst_balanced_exponent is
-one scan per balanced family.
+or random_elements; sampled_elements picks one by a text spec) with
+walk.fit_power_law, and worst_balanced_exponent is one scan per balanced family.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "balanced_family",
     "worst_balanced_exponent",
     "random_elements",
+    "sampled_elements",
     "lower_shape_exponent",
 ]
 
@@ -414,3 +415,30 @@ def random_elements(count: int, seed: int) -> list[GroupElement]:
         if g != IDENTITY:
             out.append(g)
     return out
+
+
+def sampled_elements(spec: str, alpha: float, count: int, seed: int) -> list[GroupElement]:
+    """The first count elements of the sampler spec: random (random_elements at
+    seed, no argument), ball:R, cursor:K, lamp:SPREAD:MASS or balanced:PREFACTOR,
+    each number defaulting to 4, 100, 3:50 and 1. random, cursor and lamp build
+    no more; ball and balanced build their whole family first."""
+    head, _, arg = spec.partition(":")
+    if head == "random":
+        if arg:
+            raise ValidationError(f"sampler {spec!r}: random takes no argument")
+        return random_elements(count, seed)
+    try:
+        if head == "ball":
+            family = ball_elements(int(arg or "4"))
+        elif head == "cursor":
+            family = pure_cursor_family(min(int(arg or "100"), count))
+        elif head == "lamp":
+            first, _, second = arg.partition(":")
+            family = pure_lamp_family(int(first or "3"), min(int(second or "50"), count))
+        elif head == "balanced":
+            family = balanced_family(alpha, float(arg or "1"))
+        else:
+            raise ValidationError(f"unknown sampler {spec!r}")
+    except ValueError:
+        raise ValidationError(f"sampler {spec!r} has a malformed number") from None
+    return family[:count]

@@ -40,7 +40,8 @@ pi a are exact, each residual rounded once. Three jobs live here:
   before its first chain.
 
 The bound calculator at the bottom turns a displacement exponent into an upper
-bound on the compression exponent, exactly, in rational arithmetic.
+bound on the compression exponent, exactly, in rational arithmetic, and
+compression_checks holds the pipeline's one theorem check.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ __all__ = [
     "delayed_walk_replay",
     "alpha_upper",
     "iterated_wreath_table",
-    "compression_bound",
+    "compression_checks",
 ]
 
 CHAIN_TOL = 1e-12
@@ -579,11 +580,29 @@ def iterated_wreath_table(k_max: int) -> list[tuple[int, Fraction, Fraction]]:
     return [(k, beta, alpha_upper(beta)) for k, beta in enumerate(betas, start=1)]
 
 
-def compression_bound(delta: float, t: int) -> float:
-    """delta^{-1/2} t^{1/2}, the bound on rho(c t^beta) that Markov type 2 with
-    constant 1 (Hilbert space) gives when Pr(d(W_t, e) >= c t^beta) >= delta."""
-    if not 0 < delta <= 1:
-        raise ValidationError("delta must lie in (0, 1]")
-    if t < 1:
-        raise ValidationError("t must be >= 1")
-    return delta ** -0.5 * t ** 0.5
+def compression_checks(tail, beta_hat: float, observations: Sequence[tuple]) -> tuple[float, list[dict]]:
+    """The pipeline's Markov-type step at each t of the tail's grid in 64..4096:
+    rho(c t^beta_hat) <= delta_min^(-1/2) t^(1/2), with rho the empirical_modulus
+    of the scan's (distance, norm, error bound) observations and delta_min the
+    least tail frequency there, the bound Markov type 2 with constant 1 gives a
+    map of unit one-step energy. Returns delta_min and one row per tested t;
+    raises InvariantViolation where delta_min is 0 or a row fails."""
+    tested = [t for t in tail.delta_hat if 64 <= t <= 4096]
+    if not tested:
+        raise ValidationError("the tail's grid has no time in 64..4096, where the bound is tested")
+    frequencies = [tail.delta_hat[t] for t in tested]
+    if not all(0 <= f <= 1 for f in frequencies):  # nan fails too
+        raise ValidationError("tail frequencies must lie in [0, 1]")
+    delta_min = min(frequencies)
+    if delta_min <= 0:
+        raise InvariantViolation("empirical tail probability vanished on the tested grid")
+    rho_hat = empirical_modulus([d for d, _, _ in observations], [v for _, v, _ in observations])
+    rows = []
+    for t in tested:
+        threshold = tail.c * t**beta_hat
+        lhs = rho_hat(threshold)
+        rhs = delta_min ** -0.5 * t ** 0.5
+        rows.append({"t": t, "threshold": threshold, "rhoHat": lhs, "bound": rhs, "pass": lhs <= rhs})
+        if lhs > rhs:
+            raise InvariantViolation(f"compression bound failed at t={t}: rhoHat {lhs} > bound {rhs}")
+    return delta_min, rows

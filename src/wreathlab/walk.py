@@ -346,6 +346,12 @@ def estimate_beta(sample: WalkSample, statistic: str = "mean") -> BetaFit:
     summary = sample.mean_displacement() if statistic == "mean" else sample.median_displacement()
     times = np.array(sample.times, dtype=float)
     keep = (times > 0) & (summary > 0)
+    zero = [t for t, value in zip(sample.times, summary) if t > 0 and value <= 0]
+    if zero and keep.sum() < 4:
+        raise EstimationError(
+            f"the {statistic} displacement is 0 at t = {zero} with trials = {sample.trials}; the power-law"
+            " fit needs it positive at 4 or more times, so more trials are needed"
+        )
     return fit_power_law(times[keep], summary[keep])
 
 

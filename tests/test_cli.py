@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from wreathlab import cli, embedding, errors, hosts, markov, metric
+from wreathlab import cli, embedding, errors, hosts, markov, metric, walk
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +230,19 @@ class TestWalkCommand:
         )
         assert (code, out) == (1, "")
         assert err == "error: --times gives 2 positive times; the power-law fit needs at least 4\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("seed, zero", [(1, "[4]"), (2, "[6, 8]"), (3, "[4, 6, 8]")])
+    def test_grid_with_a_zero_mean_names_its_times_and_the_trials(self, capsys, tmp_path, seed, zero):
+        code, out, err = run_cli(
+            capsys, "walk", "--group", "z", "--times", "2,4,6,8", "--trials", "1", "--seed", str(seed),
+            "--out", str(tmp_path / "w"),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the mean displacement is 0 at t = {zero} with trials = 1; the power-law fit needs it"
+            " positive at 4 or more times, so more trials are needed\n"
+        )
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("group", ["z", "zwrz"])
@@ -753,7 +766,7 @@ class TestEmbedCommands:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "spec", ["ball:x", "cursor:abc", "lamp:3:q", "balanced:zz", "balanced:inf", "balanced:nan"]
+        "spec", ["ball:x", "cursor:abc", "lamp:3:q", "balanced:zz", "balanced:inf", "balanced:nan", "random:junk"]
     )
     def test_scan_rejects_malformed_sampler_numbers(self, capsys, tmp_path, spec):
         code, _, err = run_cli(
@@ -875,6 +888,16 @@ class TestPipeline:
             "error: --tmax gives 3 positive times; the power-law fit needs at least 4,"
             " so --tmax >= 128 on the dyadic grid\n"
         )
+        assert os.listdir(tmp_path) == []
+
+    def test_vanished_tail_exits_2_writing_nothing(self, capsys, tmp_path, monkeypatch):
+        def vanished(sample, c, beta):
+            return walk.TailEstimate(c, beta, {t: 0.0 for t in sample.times}, {t: 0.0 for t in sample.times})
+
+        monkeypatch.setattr(cli.walk, "estimate_tail", vanished)
+        code, out, err = run_cli(capsys, "pipeline", "--trials", "20", "--tmax", "1024", "--out", str(tmp_path / "p"))
+        assert (code, out) == (2, "")
+        assert err == "invariant violated: empirical tail probability vanished on the tested grid\n"
         assert os.listdir(tmp_path) == []
 
     def test_walk_files_equal_those_of_the_walk_command(self, capsys, tmp_path):

@@ -538,3 +538,40 @@ class TestScan:
         worst, fits = emb.worst_balanced_exponent(ALPHA)
         assert worst == min(fits.values())
         assert abs(worst - emb.lower_shape_exponent(ALPHA)) <= 0.05
+
+
+class TestSampledElements:
+    @pytest.mark.parametrize("spec, family", [
+        ("random", lambda: emb.random_elements(30, 5)),
+        ("ball:3", lambda: emb.ball_elements(3)[:30]),
+        ("ball", lambda: emb.ball_elements(4)[:30]),
+        ("cursor:12", lambda: emb.pure_cursor_family(12)),
+        ("cursor", lambda: emb.pure_cursor_family(30)),
+        ("lamp:2:20", lambda: emb.pure_lamp_family(2, 20)),
+        ("lamp", lambda: emb.pure_lamp_family(3, 30)),
+        ("balanced:2", lambda: emb.balanced_family(ALPHA, 2.0)[:30]),
+        ("balanced", lambda: emb.balanced_family(ALPHA, 1.0)[:30]),
+    ])
+    def test_each_family(self, spec, family):
+        assert emb.sampled_elements(spec, ALPHA, 30, 5) == family()
+
+    def test_cursor_and_lamp_build_at_most_count(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(emb, "pure_cursor_family", lambda k: built.append(k) or [])
+        monkeypatch.setattr(emb, "pure_lamp_family", lambda spread, mass: built.append(mass) or [])
+        emb.sampled_elements("cursor:1000000000000", ALPHA, 20, 0)
+        emb.sampled_elements("lamp:3:1000000000000", ALPHA, 20, 0)
+        assert built == [20, 20]
+
+    @pytest.mark.parametrize("spec, match", [
+        ("mystery", "^unknown sampler 'mystery'$"),
+        ("ball:x", "^sampler 'ball:x' has a malformed number$"),
+        ("cursor:abc", "^sampler 'cursor:abc' has a malformed number$"),
+        ("lamp:3:q", "^sampler 'lamp:3:q' has a malformed number$"),
+        ("balanced:zz", "^sampler 'balanced:zz' has a malformed number$"),
+        ("balanced:nan", "^prefactor must be positive and finite$"),
+        ("random:junk", "^sampler 'random:junk': random takes no argument$"),
+    ])
+    def test_unknown_and_malformed_specs_are_refused(self, spec, match):
+        with pytest.raises(ValidationError, match=match):
+            emb.sampled_elements(spec, ALPHA, 30, 5)

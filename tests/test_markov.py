@@ -1,6 +1,7 @@
 """Finite reversible chains, the delayed subset walk, and the replay bounds."""
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wreathlab import errors, hosts, markov, metric
-from wreathlab.errors import ResourceLimitError, ValidationError
+from wreathlab import cli, errors, hosts, markov, metric, walk
+from wreathlab.errors import InvariantViolation, ResourceLimitError, ValidationError
 from wreathlab.group import IDENTITY, GroupElement, LampConfig, encode
 
 import oracles
@@ -923,12 +924,55 @@ class TestBoundCalculator:
             assert bound == Fraction(1, 1) / (2 - Fraction(2) ** (1 - k))
 
     def test_display_sides(self):
-        assert markov.compression_bound(0.25, 16) == 8.0
+        _, (row,) = markov.compression_checks(_tail({64: 0.25}), 0.5, [(1, 1.0, 0.0), (8, 2.0, 0.0)])
+        assert row == {"t": 64, "threshold": 8.0, "rhoHat": 2.0, "bound": 16.0, "pass": True}
 
-    @pytest.mark.parametrize("delta, t", [(0.0, 4), (1.5, 4), (math.nan, 4), (0.5, 0)])
-    def test_compression_bound_rejects_bad_delta_or_t(self, delta, t):
-        with pytest.raises(ValidationError):
-            markov.compression_bound(delta, t)
+
+def _tail(delta_hat, c=1.0):
+    return walk.TailEstimate(c, 0.75, delta_hat, {t: 0.0 for t in delta_hat})
+
+
+class TestCompressionChecks:
+    # distances 1..64 at norm 1: rho is 1 up to the largest threshold, 4096^0.5
+    FLAT = [(d, 1.0, 0.0) for d in range(1, 65)]
+
+    def test_tests_only_the_times_in_64_to_4096(self):
+        tail = _tail({16: 0.0, 32: 0.9, 64: 0.5, 4096: 0.25, 8192: 0.0})
+        delta_min, rows = markov.compression_checks(tail, 0.5, self.FLAT)
+        assert delta_min == 0.25
+        assert [row["t"] for row in rows] == [64, 4096]
+        assert [row["bound"] for row in rows] == [16.0, 128.0]
+
+    def test_a_vanished_tail_at_one_tested_time_raises(self):
+        tail = _tail({64: 0.5, 128: 0.0, 256: 0.5})
+        with pytest.raises(InvariantViolation, match="^empirical tail probability vanished on the tested grid$"):
+            markov.compression_checks(tail, 0.5, self.FLAT)
+
+    def test_a_modulus_above_the_bound_raises_naming_its_time(self):
+        # thresholds 8 and 16, bounds 8 and 16: rho(8) = 7 passes, rho(16) = 17 fails
+        observations = [(8, 7.0, 0.0), (16, 17.0, 0.0)]
+        message = r"^compression bound failed at t=256: rhoHat 17\.0 > bound 16\.0$"
+        with pytest.raises(InvariantViolation, match=message):
+            markov.compression_checks(_tail({64: 1.0, 256: 1.0}), 0.5, observations)
+
+    def test_a_grid_with_no_tested_time_is_refused(self):
+        with pytest.raises(ValidationError, match="^the tail's grid has no time in 64..4096"):
+            markov.compression_checks(_tail({16: 0.5, 32: 0.5, 8192: 0.5}), 0.5, self.FLAT)
+
+    @pytest.mark.parametrize("delta", [1.5, -0.5, math.nan])
+    def test_frequencies_outside_0_1_are_refused(self, delta):
+        with pytest.raises(ValidationError, match=r"^tail frequencies must lie in \[0, 1\]$"):
+            markov.compression_checks(_tail({64: 0.5, 128: delta}), 0.5, self.FLAT)
+
+    def test_seed_7_rows_are_the_pipelines(self, tmp_path, capsys, monkeypatch, zwrz_sample, scan_observations):
+        c = walk.median_rule_constant(zwrz_sample, 0.75)
+        tail = walk.estimate_tail(zwrz_sample, c, 0.75)
+        beta_hat = walk.estimate_beta(zwrz_sample).beta_hat
+        delta_min, rows = markov.compression_checks(tail, beta_hat, scan_observations)
+        monkeypatch.setattr(walk, "simulate", lambda *args: zwrz_sample)
+        assert cli.run(["pipeline", "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (delta_min, rows) == (payload["deltaMin"], payload["checks"])
 
 
 @pytest.mark.parametrize("build, match", [

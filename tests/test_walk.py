@@ -298,7 +298,16 @@ class TestEstimateBeta:
         times = (1, 2, 4)
         displacements = np.ones((5, 3), dtype=np.int64)
         sample = walk.WalkSample("z", times, displacements, 0)
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="^need >= 4 points for the power-law fit$"):
+            walk.estimate_beta(sample)
+        # t = 0 is left out of the fit, not named; t = 4, 0 in both trials, is named
+        sample = walk.WalkSample("z", (0, 2, 4, 6, 8), np.array([[0, 2, 0, 2, 0], [0, 2, 0, 2, 2]]), 0)
+        with pytest.raises(EstimationError, match=(
+            r"^the median displacement is 0 at t = \[4\] with trials = 2; the power-law fit needs it positive"
+            " at 4 or more times, so more trials are needed$"
+        )):
+            walk.estimate_beta(sample, statistic="median")
+        with pytest.raises(EstimationError, match=r"^the mean displacement is 0 at t = \[4\] with trials = 2;"):
             walk.estimate_beta(sample)
 
     @pytest.mark.parametrize("x, y", [
