@@ -220,10 +220,10 @@ def _default_times(tmax: int) -> tuple[int, ...]:
     return times if times else (tmax,)
 
 
-def _mean_fit_or_none(sample: walk.WalkSample) -> Optional[float]:
+def _fit_or_none(sample: walk.WalkSample, statistic: str = "mean") -> Optional[float]:
     try:
-        return walk.estimate_beta(sample).beta_hat
-    except EstimationError:  # fewer than 4 times with a positive mean
+        return walk.estimate_beta(sample, statistic).beta_hat
+    except EstimationError:  # fewer than 4 times with a positive statistic
         return None
 
 
@@ -285,12 +285,12 @@ def _cmd_walk(ns) -> int:
         "deltaStderr": {str(t): tail.standard_errors[t] for t in sample.times},
     }
     with sink.stage("fit"):
-        summary["medianBetaHat"] = walk.estimate_beta(sample, statistic="median").beta_hat
+        summary["medianBetaHat"] = _fit_or_none(sample, "median")
         if sample.lamp_mass is not None:
             for key, part in zip(("lampMass", "travel"), sample.split()):
                 means = part.mean_displacement()
                 summary[f"{key}Mean"] = {str(t): float(m) for t, m in zip(sample.times, means)}
-                summary[f"{key}BetaHat"] = _mean_fit_or_none(part)
+                summary[f"{key}BetaHat"] = _fit_or_none(part)
     return sink.finish("walk_summary.json", summary)
 
 

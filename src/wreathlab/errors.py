@@ -147,9 +147,11 @@ def check_physical_memory(needed: int, what: str) -> None:
         )
 
 
-# n x n float64 arrays a replay holds at its peak: a, a^t and the temporaries
-# of the matrix power. An upper bound: every one of them is float32 wherever
-# that holds a^t exactly
+# n x n float64 arrays a replay holds at its peak when its balls of radius t
+# are one group, the whole set: a, a^t and the temporaries of the matrix
+# power. An upper bound: every one of them is float32 wherever that holds a^t
+# exactly. A replay whose stacked powers over smaller balls hold no n x n
+# array is sized so too, until the power is taken from the nonzeros alone
 _DENSE_ARRAYS = 4
 
 

@@ -21,20 +21,26 @@ pi a are exact, each residual rounded once. Three jobs live here:
   from the free walk for t steps when started in the core set;
 * a replay of the resulting sandwich on concrete finite instances: the
   compression lower term never exceeds the Markov-type upper term. The
-  replay takes a^t as a dense matrix power, the identity at t = 0, in the
-  narrowest float that holds it exactly. Every entry of a is a multiple of
-  1/degree (the hosts have degree 2 or 4), so every entry of every partial
-  product and partial sum of a^t is a multiple of degree^-t in [0, 1], which
-  a float with an m-bit significand holds in any summation order when
-  degree^t <= 2^m: a^t is float32 up to degree^t = 2^24, float64 up to 2^53,
-  and refused past that. The power's input, its output and its temporaries
-  are the replay's only n x n arrays; a^t is freed once its pairs are read.
-  The replay then sums over every ordered pair the chain can couple, in
+  replay takes row i of a^t, the identity at t = 0, as row i of the power
+  of a restricted to i's ball of radius t, which holds every path of t
+  steps from i: _power_pairs grows the balls from the nonzeros of a and
+  takes one np.linalg.matrix_power per window of stacked k x k matrices, k
+  the largest ball. Where k^3 >= n^2 the rows share one ball, the whole
+  set, and that power is the one n x n power of a. Each power is taken in
+  the narrowest float that holds it exactly. Every entry of a is a multiple
+  of 1/degree (the hosts have degree 2 or 4), so every entry of every
+  partial product and partial sum of a^t is a multiple of degree^-t in
+  [0, 1], which a float with an m-bit significand holds in any summation
+  order when degree^t <= 2^m: a^t is float32 up to degree^t = 2^24, float64
+  up to 2^53, and refused past that. Only the whole-set power holds n x n
+  arrays, its input, its output and its temporaries, freed once its pairs
+  are read. The replay then sums over every ordered pair the chain can couple, in
   row-major order (the nonzeros of a^t united with those of a): these are
   the nonzero terms of the dense n x n sums, so each fsum is theirs bit for
   bit, and no symmetry of a or a^t is assumed. One guard,
   errors.check_dense_chain, refuses n states whose dense n x n arrays would
-  not fit in physical memory; delayed_walk calls it, the replay calls it on
+  not fit in physical memory, whichever form the replay's power takes (it
+  sizes the whole-set power); delayed_walk calls it, the replay calls it on
   the core before it fattens it, the hosts' set builders call it before they
   build a set at all, and the random-chain campaign calls it on max_states
   before its first chain.
@@ -75,7 +81,9 @@ CHAIN_TOL = 1e-12
 # tolerance of the campaign's and the replay's inequality checks
 CHECK_TOL = 1e-9
 # entries of each m x n x n array that one window of the random-chain campaign
-# holds at max_states states (one chain at least, whatever its size)
+# holds at max_states states (one chain at least, whatever its size), and of
+# each m x k x k stack of the replay's powers over balls of k states (one row
+# at least)
 _STACK_ENTRIES = 2**16
 # most chains one window of the random-chain campaign holds before it evaluates
 # them: each drawn chain also holds a few Python objects, which the entries of
@@ -379,6 +387,88 @@ def empirical_modulus(distances: Sequence[float], norms: Sequence[float]) -> Cal
     return rho
 
 
+def _balls(cols: np.ndarray, t: int) -> Optional[np.ndarray]:
+    """Each state's in-subset ball of radius t, one ascending row of states
+    padded with n, grown from a's columns one radius at a time; None once the
+    largest ball holds k states with k^3 >= n^2, where one n x n power costs
+    less than a k x k power a row.
+
+    cols is _power_pairs' table: row r holds the columns of a's row r padded
+    with n, and row n, the padding, only n.
+    """
+    n = len(cols) - 1
+    table = np.column_stack([np.arange(n + 1), cols])  # each state reaches itself
+    balls = np.arange(n)[:, None]
+    for _ in range(t):
+        reach = np.sort(table[balls].reshape(n, -1), axis=1)
+        reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = n  # each state once
+        reach.sort(axis=1)
+        k = int((reach < n).sum(axis=1).max())
+        if k**3 >= n**2:
+            return None
+        balls = reach[:, :k]
+    return balls
+
+
+def _power_pairs(chain: FiniteChain, t: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair the chain can couple, as flat n x n indices in
+    row-major order (the nonzeros of a^t united with those of a), and a^t at
+    each pair in float64.
+
+    A path of t steps from state i stays in i's ball of radius t, so row i of
+    a^t is row i of (a restricted to that ball)^t. Each row's restriction is
+    scattered into a k x k matrix, k the largest ball, and the powers are
+    taken in dtype, one np.linalg.matrix_power a window of rows, each window
+    of at most _STACK_ENTRIES entries (one row at least). Where k^3 >= n^2,
+    every row shares one ball, the whole set, and this is the one n x n power
+    of a.
+    """
+    n = chain.n
+    counts = np.bincount(chain.rows, minlength=n)
+    place = np.arange(len(chain.rows)) - (np.cumsum(counts) - counts)[chain.rows]
+    # row r: the columns of a's row r and their values, padded with state n
+    # and 0; row n stands for the padding
+    cols = np.full((n + 1, counts.max()), n)
+    values = np.zeros(cols.shape, dtype)
+    cols[chain.rows, place] = chain.cols
+    values[chain.rows, place] = chain.values
+    balls = _balls(cols, t)
+    if balls is None:
+        at = np.linalg.matrix_power(chain.dense(dtype), t)
+        at_keys = np.flatnonzero(at)
+        at_values = at.ravel()[at_keys]
+    else:
+        k = balls.shape[1]
+        window = max(1, _STACK_ENTRIES // k**2)
+        found_keys, found_values = [], []
+        for first in range(0, n, window):
+            ball = balls[first : first + window]
+            m = len(ball)
+            # ball b's states as keys b (n + 1) + state, ascending over the
+            # window; a's entries from each ball state land at their column's
+            # place in the same ball, where it has one
+            offset = (n + 1) * np.arange(m)
+            ball_keys = (ball + offset[:, None]).ravel()
+            reached = cols[ball]
+            targets = reached + offset[:, None, None]
+            spot = np.minimum(np.searchsorted(ball_keys, targets), m * k - 1)
+            inside = (ball_keys[spot] == targets) & (reached < n)
+            b, row, _ = np.nonzero(inside)
+            local = np.zeros((m, k, k), dtype)
+            local[b, row, spot[inside] - b * k] = values[ball][inside]
+            power = np.linalg.matrix_power(local, t)
+            own = np.searchsorted(ball_keys, first + np.arange(m) + offset) - k * np.arange(m)
+            row_values = power[np.arange(m), own]
+            b, col = np.nonzero(row_values)
+            found_keys.append((first + b) * n + ball[b, col])
+            found_values.append(row_values[b, col])
+        at_keys, at_values = np.concatenate(found_keys), np.concatenate(found_values)
+    pairs = np.union1d(at_keys, chain.rows * n + chain.cols)
+    at_pairs = np.zeros(len(pairs))
+    at_pairs[np.searchsorted(pairs, at_keys)] = at_values  # float32 widens to float64 exactly
+    return pairs, at_pairs
+
+
 @dataclass(frozen=True)
 class ReplayReport:
     """Every intermediate quantity of the sandwich, already asserted.
@@ -444,13 +534,7 @@ def delayed_walk_replay(
     points = _state_points([emb(v) for v in vertices], n)
 
     narrowest = np.float32 if scale <= 2**24 else np.float64
-    at = np.linalg.matrix_power(chain.dense(narrowest), t)
-    # every ordered pair the chain can couple, in row-major order: the nonzeros
-    # of a^t and of a (all positive), as flat n x n indices
-    keys = chain.rows * n + chain.cols
-    pairs = np.union1d(np.flatnonzero(at), keys)
-    at_pairs = at.ravel()[pairs].astype(float)  # float32 widens to float64 exactly
-    del at  # the replay's only n x n arrays are the power's
+    pairs, at_pairs = _power_pairs(chain, t, narrowest)
     i, j = np.divmod(pairs, n)
     host_dist = host.distances(vertices, i, j)
     diff = points[i] - points[j]
@@ -519,7 +603,8 @@ def delayed_walk_replay(
     chain_lower = len(core) / n * free_term
 
     markov_lhs = _weighted_sum(pair_weight, emb_p)
-    markov_rhs = t * _weighted_sum(pi[chain.rows] * chain.values, emb_p[np.searchsorted(pairs, keys)])
+    one_step = np.searchsorted(pairs, chain.rows * n + chain.cols)  # a's nonzeros among the pairs
+    markov_rhs = t * _weighted_sum(pi[chain.rows] * chain.values, emb_p[one_step])
     upper = float(t)  # K^p t with K = 1
 
     if abs(restricted_avg - chain_lower) > CHECK_TOL * max(1.0, abs(chain_lower)):

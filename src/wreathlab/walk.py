@@ -380,5 +380,8 @@ def median_rule_constant(sample: WalkSample, beta: float, reference_time: int = 
     column = sample.times.index(reference_time)
     med = float(np.median(sample.displacements[:, column]))
     if med <= 0:
-        raise EstimationError("median displacement at the reference time is zero")
+        raise EstimationError(
+            f"the median displacement is 0 at the reference time t = {reference_time} with trials ="
+            f" {sample.trials}; the tail constant needs it positive, so more trials are needed"
+        )
     return 0.5 * med / reference_time**beta

@@ -196,6 +196,31 @@ class TestWalkCommand:
         assert payload["travelBetaHat"] is None
         assert payload["travelMean"]["1"] == 0.0
 
+    def test_median_fit_too_short_is_null(self, capsys, tmp_path):
+        # the median is 0 at t = 2 and 4 here, leaving 2 positive medians: too few
+        # to fit, while every mean is positive
+        code, out, _ = run_cli(
+            capsys, "walk", "--group", "z", "--times", "2,4,6,8", "--trials", "3",
+            "--seed", "6", "--out", str(tmp_path / "w"),
+        )
+        assert code == 0
+        payload = read_json(out)
+        assert payload["medianBetaHat"] is None
+        assert payload["betaHat"] == pytest.approx(1.0)
+
+    def test_zero_median_at_the_reference_time_names_it(self, capsys, tmp_path):
+        out_dir = tmp_path / "w"
+        code, out, err = run_cli(
+            capsys, "walk", "--group", "z", "--times", "2,4,6,8", "--trials", "3",
+            "--seed", "3", "--out", str(out_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the median displacement is 0 at the reference time t = 6 with trials = 3;"
+            " the tail constant needs it positive, so more trials are needed\n"
+        )
+        assert not out_dir.exists()
+
     def test_manifest_clock_covers_the_command(self, capsys, tmp_path, monkeypatch):
         simulate = cli.walk.simulate
 
@@ -654,6 +679,9 @@ STDOUT_SHA256 = [
      "31a17518c39cd60e5ed265d50ace5ebd7b8535ddb507943deb565cf78882bc63"),
     (("markov", "replay", "--host", "zwrz-trunc", "--F", "2:1:1", "--t", "3"),
      "8f09453d161a8d9f279cf8dabb8c6f586273cae9eee8c9c9806ff4be2f1615cf"),
+    # 6,399 states, balls of 17: one stacked power a window of rows
+    (("markov", "replay", "--host", "zwrz-trunc", "--F", "2:2:1", "--t", "2"),
+     "f3fd78348eaf3ced0a813f7893a30cefabab24d40991c7a51eaa3de6fb47fefe"),
     (("markov", "delayed", "--host", "z2", "--subset", "0:30:0:30"),
      "d0fcd20803fd67040500ba16481602f5e6b0b6bdbaa939a16a6cd2f8665440a6"),
     (("markov", "delayed", "--host", "z", "--subset=-1000:1000"),

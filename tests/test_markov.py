@@ -739,16 +739,19 @@ class TestReplay:
 
     def test_asymmetric_power_is_summed_term_by_term(self, monkeypatch):
         # no symmetry of a^t is assumed: each ordered pair is its own dense term
-        power = np.linalg.matrix_power
+        pairs_of = markov._power_pairs
         taken = []
 
-        def skewed(a, t):
-            at = power(a, t)
-            at[0, 1] = np.nextafter(at[0, 1], np.inf)  # one ulp in the dtype of a^t
-            taken.append(at)
-            return at
+        def skewed(chain, t, dtype):
+            pairs, at_pairs = pairs_of(chain, t, dtype)
+            (k,) = np.flatnonzero(pairs == 1)  # the pair (0, 1)
+            at_pairs[k] = np.nextafter(at_pairs[k], np.inf)
+            at = np.zeros(chain.n**2)
+            at[pairs] = at_pairs
+            taken.append(at.reshape(chain.n, chain.n))
+            return pairs, at_pairs
 
-        monkeypatch.setattr(np.linalg, "matrix_power", skewed)
+        monkeypatch.setattr(markov, "_power_pairs", skewed)
         host, core = hosts.host_by_name("z"), hosts.interval(0, 5)
         report = markov.delayed_walk_replay(host, core, 2, lambda v: (float(v),), lambda s: s)
         (at,) = taken
@@ -756,7 +759,7 @@ class TestReplay:
         x = np.array(hosts.union_of_balls(host, core, 2), dtype=float)
         pi = np.full(len(x), 1.0 / len(x))
         gap_p = (x[:, None] - x[None, :]) ** 2  # rho is the identity: both sums weigh the same
-        want = math.fsum((pi[:, None] * at.astype(float) * gap_p).ravel().tolist())
+        want = math.fsum((pi[:, None] * at * gap_p).ravel().tolist())
         assert report.full_avg == want
         assert report.markov_lhs == want
 
@@ -773,6 +776,71 @@ class TestReplay:
         monkeypatch.setattr(markov, "delayed_walk", unreachable)
         with pytest.raises(ValidationError, match="at least one center"):
             markov.delayed_walk_replay(host, [], 2, wreath_coordinates, None)
+
+
+def dense_power_pairs(chain, t):
+    """The nonzeros of the float64 n x n power of a united with a's, as flat
+    n x n indices, and a^t at each."""
+    at = np.linalg.matrix_power(chain.dense(), t)
+    pairs = np.union1d(np.flatnonzero(at), chain.rows * chain.n + chain.cols)
+    return pairs, at.ravel()[pairs]
+
+
+class TestPowerPairs:
+    """_power_pairs' stacked powers over each row's ball against the one dense power."""
+
+    @pytest.mark.parametrize(
+        "host_name, core, t, whole",
+        [("z", hosts.interval(-15, 15), t, None) for t in range(5)]
+        + [("z2", hosts.box(-4, 4, -4, 4), t, None) for t in range(5)]
+        + [("zwrz", hosts.wreath_truncation(1, 1, 1), t, None) for t in range(5)]
+        + [
+            ("zwrz", hosts.wreath_truncation(2, 1, 1), 3, False),  # 2,703 states, balls of 53
+            ("z2", [(0, 0)], 12, None),  # 4^12 = 2^24, the last float32 power
+            ("z2", [(0, 0)], 13, True),  # every ball is most of the set
+        ],
+    )
+    def test_byte_equal_to_the_dense_power(self, monkeypatch, host_name, core, t, whole):
+        host = hosts.host_by_name(host_name)
+        chain = markov.delayed_walk(host, hosts.union_of_balls(host, core, t))
+        n = chain.n
+        want = dense_power_pairs(chain, t)
+        power = np.linalg.matrix_power
+        shapes = []
+
+        def recorded(a, t):
+            shapes.append(a.shape)
+            return power(a, t)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recorded)
+        narrowest = np.float32 if host.degree**t <= 2**24 else np.float64
+        pairs, at_pairs = markov._power_pairs(chain, t, narrowest)
+        assert pairs.dtype == want[0].dtype and pairs.tobytes() == want[0].tobytes()
+        assert at_pairs.dtype == want[1].dtype and at_pairs.tobytes() == want[1].tobytes()
+        if shapes == [(n, n)]:  # one group, the whole set
+            assert whole is not False
+        else:  # one k x k matrix a row, k < n, in windows of rows
+            assert whole is not True
+            assert all(len(shape) == 3 and shape[1:] == shapes[0][1:] for shape in shapes)
+            assert shapes[0][1] < n
+            assert sum(shape[0] for shape in shapes) == n
+
+    def test_windows_hold_at_most_the_stack_entries(self, monkeypatch):
+        host = hosts.host_by_name("z2")
+        chain = markov.delayed_walk(host, hosts.union_of_balls(host, hosts.box(-4, 4, -4, 4), 3))
+        want = dense_power_pairs(chain, 3)
+        power = np.linalg.matrix_power
+        shapes = []
+
+        def recorded(a, t):
+            shapes.append(a.shape)
+            return power(a, t)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recorded)
+        monkeypatch.setattr(markov, "_STACK_ENTRIES", 25**2 * 10)
+        pairs, at_pairs = markov._power_pairs(chain, 3, np.float32)
+        assert shapes == [(10, 25, 25)] * 20 + [(1, 25, 25)]  # 201 rows, balls of 25
+        assert pairs.tobytes() == want[0].tobytes() and at_pairs.tobytes() == want[1].tobytes()
 
 
 def dense_replay(host, core, t, emb, rho, p=2.0):
@@ -871,19 +939,25 @@ class TestReplayOracle:
     )
     def test_narrow_power_is_the_float64_power(self, monkeypatch, host_name, core, t, emb, narrowest):
         host = hosts.host_by_name(host_name)
-        power = np.linalg.matrix_power
-        taken = []
+        want = dense_power_pairs(markov.delayed_walk(host, hosts.union_of_balls(host, core, t)), t)
+        power, pairs_of = np.linalg.matrix_power, markov._power_pairs
+        dtypes, taken = [], []
 
-        def recorded(a, t):
-            taken.append(power(a, t))
+        def recorded_power(a, t):
+            dtypes.append(a.dtype)
+            return power(a, t)
+
+        def recorded_pairs(*args):
+            taken.append(pairs_of(*args))
             return taken[-1]
 
-        monkeypatch.setattr(np.linalg, "matrix_power", recorded)
+        monkeypatch.setattr(np.linalg, "matrix_power", recorded_power)
+        monkeypatch.setattr(markov, "_power_pairs", recorded_pairs)
         markov.delayed_walk_replay(host, core, t, emb, None)
-        (at,) = taken
-        chain = markov.delayed_walk(host, hosts.union_of_balls(host, core, t))
-        assert at.dtype == narrowest
-        assert np.array_equal(at, power(chain.dense(), t))
+        ((pairs, at_pairs),) = taken
+        assert dtypes and set(dtypes) == {np.dtype(narrowest)}
+        assert np.array_equal(pairs, want[0])
+        assert np.array_equal(at_pairs, want[1])
 
     def test_rejections_name_the_first_offending_pair(self):
         host = hosts.host_by_name("z")

@@ -382,7 +382,8 @@ class TestRuleConstant:
 
     def test_zero_median_at_the_reference_time(self):
         sample = walk.simulate("z", (0, 4), 4, 0)
-        with pytest.raises(EstimationError, match="^median displacement at the reference time is zero$"):
+        want = r"^the median displacement is 0 at the reference time t = 0 with trials = 4;"
+        with pytest.raises(EstimationError, match=want):
             walk.median_rule_constant(sample, 0.5, reference_time=0)
 
     def test_exceedance_stays_high_for_rule_constant(self, zwrz_sample):
