@@ -745,7 +745,7 @@ class TestReplay:
         def skewed(chain, t, dtype):
             pairs, at_pairs = pairs_of(chain, t, dtype)
             (k,) = np.flatnonzero(pairs == 1)  # the pair (0, 1)
-            at_pairs[k] = np.nextafter(at_pairs[k], np.inf)
+            at_pairs[k] = np.nextafter(dtype(at_pairs[k]), dtype(np.inf))  # one ulp in a^t's dtype
             at = np.zeros(chain.n**2)
             at[pairs] = at_pairs
             taken.append(at.reshape(chain.n, chain.n))
